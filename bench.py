@@ -101,7 +101,7 @@ def run_headline() -> dict:
     out = {"sec": wall, "events": rep["events_in"], "events_per_sec": rep["events_in"] / wall}
     if not os.environ.get("GRAFT_SKIP_LATE"):
         # second datapoint: winners-only ("late") extraction — the scale
-        # path (extraction+shuffle proportional to LWW winners). Runs
+        # path (extraction proportional to LWW winners). Runs
         # AFTER the headline so thermal throttling can't depress it.
         lake_l = f"{lake}_late"
         shutil.rmtree(lake_l, ignore_errors=True)

@@ -46,8 +46,17 @@ class EngineConfig:
     prevalidate: run the pre-validation/partition-counts pass before each
         commit (parity with the reference's pre-validation phase). May be
         disabled for benchmarked fresh-lake ingests; the pass runs anyway
-        when the lake already has committed partitions (it prunes the
-        lake-side read).
+        when a cow lake already has committed partitions (it prunes the
+        lake-side read). The counts pass is also what arms hot-partition
+        salting: without it (``prevalidate=False`` on a fresh or mor lake)
+        no partition is salted, in full and late mode alike, and applied
+        counts come from the merge groups' pre-dedup sizes.
+    late_extract: extract html→text only for LWW winners, inside the merge
+        exchange. The pre-shuffle plan carries the raw html as a side
+        column instead of running an extractor stage; the merge dedups,
+        extracts the surviving winners whose text is null, and drops the
+        side column before the write. One exchange per commit group, as
+        in full mode.
     drop_tombstones_on_read: live-view reads filter deleted urls; the
         stored partitions always retain tombstones so late out-of-order
         events with older versions cannot resurrect a deleted url.
@@ -63,20 +72,12 @@ class EngineConfig:
     keep_html: bool = False
     drop_tombstones_on_read: bool = True
     prevalidate: bool = True
-    # winners-only extraction: choose each url's LWW winner from the cheap
-    # envelope columns FIRST, then extract/shuffle only winning events —
-    # LWW associativity makes this semantically identical to extracting
-    # everything, at ~1/U the extraction + shuffle cost for U updates/url
+    # winners-only extraction inside the one merge exchange: the raw html
+    # rides through the hash shuffle and the merge extracts text only for
+    # each url's LWW winner — semantically identical to extracting
+    # everything (LWW never looks at text), at ~1/U the extraction cost
+    # for U updates/url, with no extra pass and no winner set on the driver
     late_extract: bool = False
-    # late-extract winner-set bound: when the delta's per-url winner
-    # count exceeds this, the winner seqs are NOT gathered/broadcast as
-    # a driver array (O(delta urls) driver memory — tens of GB at
-    # 10^10-event commit groups); the filter becomes a distributed
-    # Bloom prefilter (bitmap built distributed, OR-merged, ray.put
-    # once) followed by an exact partitioned semi join on seq. Below
-    # the bound the sorted-array searchsorted filter is cheaper (no
-    # extra exchange).
-    late_winner_gather_limit: int = 4_000_000
     # sink strategy: "cow" (copy-on-write — each commit rewrites touched
     # partitions; reads are plain scans) or "mor" (merge-on-read — each
     # commit APPENDS a per-partition LWW-deduped delta file; reads resolve

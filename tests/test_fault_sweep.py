@@ -189,16 +189,14 @@ def test_fault_sweep_mor(tmp_path):
     )
 
 
-def test_fault_sweep_late_extract_bounded_winners(tmp_path):
-    """Round-4 path: winners-only extraction with the DISTRIBUTED winner
-    filter forced on (late_winner_gather_limit=0 — Bloom prefilter +
-    partitioned semi join on every commit group). The crash staircase
-    must converge through the extra pipeline stages exactly like the
-    plain paths."""
+def test_fault_sweep_late_extract(tmp_path):
+    """Winners-only extraction fused into the merge exchange (html rides
+    the shuffle as a side column; the merge extracts the LWW winners).
+    The crash staircase must converge exactly like the full-extract
+    paths."""
     _sweep(
         tmp_path,
-        dict(epochs_per_commit=2, late_extract=True,
-             late_winner_gather_limit=0),
+        dict(epochs_per_commit=2, late_extract=True),
         starts=(1, 7),
         min_crashes=8,
     )

@@ -237,24 +237,30 @@ def test_late_extract_matches_oracle(tmp_events, tmp_lake, tmp_path):
     assert_matches_oracle(tmp_lake, tmp_events)
 
 
-def test_late_extract_bounded_winner_path_matches_oracle(
+def test_late_extract_without_counts_pass_matches_oracle(
     tmp_events, tmp_lake, tmp_path
 ):
-    """The adaptive-path pin (the _collapse_exact convention): forcing
-    late_winner_gather_limit=0 routes EVERY winner through the
-    distributed Bloom-prefilter + partitioned-semi-join path instead of
-    the driver searchsorted array — the lake must converge to the
-    identical oracle state, ties/out-of-order/deletes/schema-add
-    included."""
+    """Late extraction with ``prevalidate=False``: no counts pass runs, so
+    applied accounting comes from the merge groups' pre-dedup sizes —
+    exact, because the merge sees every admitted event. The lake must
+    converge to the identical oracle state, ties/out-of-order/deletes/
+    schema-add included."""
+    from gene_etl_ray.pipelines.normalize import normalize_batch
+
     generate_events(
         tmp_events, n_urls=300, n_events=1500, n_epochs=6,
         tie_frac=0.15, out_of_order_frac=0.2, schema_add_epoch=3,
     )
     cfg = EngineConfig(
         lake_dir=tmp_lake, num_partitions=8, epochs_per_commit=2,
-        late_extract=True, late_winner_gather_limit=0,
+        late_extract=True, prevalidate=False,
     )
-    run_ingest(cfg, tmp_events)
+    rep = run_ingest(cfg, tmp_events)
+    admitted = sum(
+        normalize_batch(pq.read_table(f)).num_rows
+        for f in glob.glob(os.path.join(tmp_events, "epoch=*.parquet"))
+    )
+    assert rep["events_applied"] == admitted
     assert_matches_oracle(tmp_lake, tmp_events)
 
 

@@ -1,10 +1,9 @@
 """Skew-path burn-in at a larger synthetic scale (r3 verdict item #9):
 one ingest an order of magnitude above the other e2e tests, with a much
-hotter Zipf domain skew, driving BOTH adaptive paths added for scale —
-hot-partition salting on the merge shuffle and the bounded late-extract
-winner set (Bloom prefilter + partitioned semi join) — and asserting
-the lake still converges byte-identically to the single-process replay
-oracle."""
+hotter Zipf domain skew, driving hot-partition salting on the merge
+shuffle together with late extraction (winners extracted inside the
+salted merge groups) — and asserting the lake still converges
+byte-identically to the single-process replay oracle."""
 
 import logging
 import os
@@ -39,9 +38,6 @@ def test_hot_skew_salted_late_extract_burnin(tmp_path, ray_session, caplog):
         # low threshold: the hot domains MUST trip the salted merge path
         hot_partition_threshold=5_000,
         late_extract=True,
-        # far below the winner count: every commit group routes through
-        # the distributed Bloom + semi-join winner filter
-        late_winner_gather_limit=1_000,
     )
     with caplog.at_level(logging.INFO, logger="gene_etl_ray.pipelines.ingest"):
         rep = run_ingest(cfg, events)
@@ -80,7 +76,6 @@ def test_hot_skew_salted_burnin_5m(tmp_path, ray_session, caplog):
         epochs_per_commit=2,
         hot_partition_threshold=40_000,
         late_extract=True,
-        late_winner_gather_limit=10_000,
     )
     with caplog.at_level(logging.INFO, logger="gene_etl_ray.pipelines.ingest"):
         rep = run_ingest(cfg, events)

@@ -201,3 +201,58 @@ class TestCrossProcessDeterminism:
         import hashlib
 
         assert out == [hashlib.sha256(x.encode()).hexdigest() for x in here]
+
+
+class TestLateMergeExtraction:
+    """The merge exchange's fused late extraction, called directly on a
+    hand-built group (one partition, one merge key)."""
+
+    def test_merge_extracts_winners_only(self, tmp_path):
+        import pyarrow.parquet as pq
+
+        from gene_etl_ray.pipelines.ingest import HTML_SIDE_COLUMN, _make_merge_fn
+        from gene_etl_ray.schema import EVENT_SCHEMA, lake_schema_for
+
+        target = lake_schema_for(EVENT_SCHEMA)
+        old_html, new_html = b"<p>old</p>", b"<p>new <b>body</b> &amp; more</p>"
+        rows = [
+            # url, warc_ts, text, seq, is_deleted, html
+            ("http://a/", 100, None, 0, False, old_html),
+            ("http://a/", 200, None, 1, False, new_html),  # winner of a
+            ("http://b/", 100, None, 2, False, b"<p>gone</p>"),
+            ("http://b/", 300, None, 3, True, None),  # tombstone winner
+            ("http://c/", 100, "given", 4, False, b"<p>other</p>"),
+            ("http://d/", 50, "stored", 5, False, None),  # cow lake-side row
+        ]
+        cols = list(zip(*rows))
+        n = len(rows)
+        group = pa.table(
+            {
+                "url": pa.array(cols[0], pa.string()),
+                "warc_ts": pa.array(cols[1], pa.timestamp("us")),
+                "text": pa.array(cols[2], pa.string()),
+                "lang": pa.nulls(n, pa.string()),
+                "seq": pa.array(cols[3], pa.int64()),
+                "epoch": pa.array([0] * n, pa.int32()),
+                "pkey": pa.array([0] * n, pa.int32()),
+                "is_deleted": pa.array(cols[4], pa.bool_()),
+                HTML_SIDE_COLUMN: pa.array(cols[5], pa.binary()),
+                "gkey": pa.array([0] * n, pa.int64()),
+            }
+        )
+        assert group.schema.names[:-2] == target.names
+
+        out = _make_merge_fn(str(tmp_path), commit_epoch=0)(group)
+        assert out.column("events_in").to_pylist() == [n]
+        written = pq.read_table(out.column("path")[0].as_py())
+        assert HTML_SIDE_COLUMN not in written.column_names
+        assert written.schema.names == target.names
+        text = dict(zip(written.column("url").to_pylist(),
+                        written.column("text").to_pylist()))
+        assert text == {
+            "http://a/": extract_text(new_html),
+            "http://b/": None,
+            "http://c/": "given",
+            "http://d/": "stored",
+        }
+        assert written.column("is_deleted").to_pylist() == [False, True, False, False]
