@@ -72,11 +72,9 @@ class EngineConfig:
     keep_html: bool = False
     drop_tombstones_on_read: bool = True
     prevalidate: bool = True
-    # winners-only extraction inside the one merge exchange: the raw html
-    # rides through the hash shuffle and the merge extracts text only for
-    # each url's LWW winner — semantically identical to extracting
-    # everything (LWW never looks at text), at ~1/U the extraction cost
-    # for U updates/url, with no extra pass and no winner set on the driver
+    # winners-only extraction inside the one merge exchange (see the class
+    # docstring): identical to extracting everything, since LWW never
+    # looks at text, at ~1/U the extraction cost for U updates/url
     late_extract: bool = False
     # sink strategy: "cow" (copy-on-write — each commit rewrites touched
     # partitions; reads are plain scans) or "mor" (merge-on-read — each
