@@ -87,8 +87,6 @@ def run_headline() -> dict:
             lake_dir=lake_a,
             num_partitions=64,
             epochs_per_commit=8,
-            extract_concurrency=NUM_CPUS,
-            extract_batch_size=512,
             # salting stays dormant here: measured A/B at this scale showed
             # the salt path 10-20% slower (extra per-batch hashing; merge is
             # a minor stage at +79% partition skew) — see BASELINE.md skew note
@@ -98,24 +96,7 @@ def run_headline() -> dict:
         rep = run_ingest(cfg, ev_dir)
         wall = min(wall, time.time() - t0)
         shutil.rmtree(lake_a, ignore_errors=True)
-    out = {"sec": wall, "events": rep["events_in"], "events_per_sec": rep["events_in"] / wall}
-    if not os.environ.get("GRAFT_SKIP_LATE"):
-        # second datapoint: winners-only ("late") extraction — the scale
-        # path (extraction proportional to LWW winners). Runs
-        # AFTER the headline so thermal throttling can't depress it.
-        lake_l = f"{lake}_late"
-        shutil.rmtree(lake_l, ignore_errors=True)
-        cfg_l = EngineConfig(
-            lake_dir=lake_l, num_partitions=64, epochs_per_commit=8,
-            extract_concurrency=NUM_CPUS, extract_batch_size=512,
-            prevalidate=False, late_extract=True,
-        )
-        t1 = time.time()
-        rep_l = run_ingest(cfg_l, ev_dir)
-        out["sec_late_extract"] = round(time.time() - t1, 3)
-        out["events_per_sec_late"] = round(rep_l["events_in"] / (time.time() - t1), 1)
-        shutil.rmtree(lake_l, ignore_errors=True)
-    return out
+    return {"sec": wall, "events": rep["events_in"], "events_per_sec": rep["events_in"] / wall}
 
 
 def run_queries() -> dict[str, float]:
@@ -184,9 +165,6 @@ def main() -> None:
                 "num_cpus": NUM_CPUS,
                 "events": head["events"],
                 "events_per_sec": round(head["events_per_sec"], 1),
-                **({"events_per_sec_late": head["events_per_sec_late"],
-                    "sec_late_extract": head["sec_late_extract"]}
-                   if "events_per_sec_late" in head else {}),
             }
         )
     )
@@ -212,7 +190,6 @@ def scaling() -> None:
             RAY_GRAFT_CPUS=str(ncpu),
             GRAFT_SF_DIR=SF_DIR,
             GRAFT_SKIP_QUERIES="1",
-            GRAFT_SKIP_LATE="1",
         )
         out = subprocess.run(
             [sys.executable, os.path.abspath(__file__)],

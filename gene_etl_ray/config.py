@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 
 
 @dataclass
@@ -34,13 +34,6 @@ class EngineConfig:
     epochs_per_commit: how many input epochs are folded into one commit
         (the commit cadence; reference analog ``checkpoint_interval``,
         ``config.py:92``).
-    extract_batch_size: rows per batch for the html→text extractor actor
-        pool (html rows are fat — sized by bytes at scale).
-    extract_concurrency: retained knob from the actor-pool extractor era
-        (the stage now runs as per-process tasks on the shared worker
-        pool; the value is unused by the task form but kept for config
-        compatibility and for deployments that re-enable a pool for
-        heavy-state extractors).
     keep_html: if False (default) the ``html`` payload column is dropped
         from the lake table after extraction (the lake stores ``text``).
     prevalidate: run the pre-validation/partition-counts pass before each
@@ -49,14 +42,12 @@ class EngineConfig:
         when a cow lake already has committed partitions (it prunes the
         lake-side read). The counts pass is also what arms hot-partition
         salting: without it (``prevalidate=False`` on a fresh or mor lake)
-        no partition is salted, in full and late mode alike, and applied
-        counts come from the merge groups' pre-dedup sizes.
-    late_extract: extract html→text only for LWW winners, inside the merge
-        exchange. The pre-shuffle plan carries the raw html as a side
-        column instead of running an extractor stage; the merge dedups,
-        extracts the surviving winners whose text is null, and drops the
-        side column before the write. One exchange per commit group, as
-        in full mode.
+        no partition is salted, and applied counts come from the merge
+        groups' pre-dedup sizes.
+    late_extract: accepted and ignored, so configs that set it still
+        load; an init-only argument, not a field, so not part of
+        ``hash()``. html→text extraction always runs on the LWW winners
+        only, inside the merge exchange.
     drop_tombstones_on_read: live-view reads filter deleted urls; the
         stored partitions always retain tombstones so late out-of-order
         events with older versions cannot resurrect a deleted url.
@@ -67,15 +58,9 @@ class EngineConfig:
     salt_factor: int = 4
     hot_partition_threshold: int = 200_000
     epochs_per_commit: int = 1
-    extract_batch_size: int = 256
-    extract_concurrency: int = 4
     keep_html: bool = False
     drop_tombstones_on_read: bool = True
     prevalidate: bool = True
-    # winners-only extraction inside the one merge exchange (see the class
-    # docstring): identical to extracting everything, since LWW never
-    # looks at text, at ~1/U the extraction cost for U updates/url
-    late_extract: bool = False
     # sink strategy: "cow" (copy-on-write — each commit rewrites touched
     # partitions; reads are plain scans) or "mor" (merge-on-read — each
     # commit APPENDS a per-partition LWW-deduped delta file; reads resolve
@@ -88,10 +73,6 @@ class EngineConfig:
     # scale this is what keeps a fast producer stage from flooding the
     # store ahead of the merge shuffle.
     object_store_limit_bytes: int | None = None
-    # merge-exchange implementation: "hash" (hash-partition aggregators —
-    # no sort, best measured scaling), "push" (push-based sort shuffle),
-    # "pull" (default Ray sort shuffle)
-    shuffle: str = "hash"
     # snapshot retention (time travel): archive each partition manifest at
     # commit (`_manifests/history/`) and never GC superseded files, so
     # `read_lake(..., asof_epoch=e)` can reconstruct the lake exactly as
@@ -145,8 +126,9 @@ class EngineConfig:
     # the retain-forever semantics.
     allowed_lateness_us: int | None = None
     extra: dict = field(default_factory=dict)
+    late_extract: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, late_extract: bool) -> None:
         if self.merge_mode not in ("cow", "mor"):
             raise ValueError("merge_mode must be 'cow' or 'mor'")
         if self.audit_max_delete_frac is not None and not (

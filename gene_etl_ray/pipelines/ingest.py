@@ -5,12 +5,12 @@ Ray-Data-native restatement of the reference's seven-phase batch lifecycle
 post-validate → persist → finalize), per SURVEY §3.4:
 
   read_parquet(uncommitted epoch files)           # zero-copy Arrow blocks
-  → map_batches(normalize/pre-validate)           # stateless tasks
-  → [full: map_batches(HtmlTextExtractor)]        # per-process tasks
-  → map_batches(add pkey/gkey + watermark filter) # broadcast watermarks
+  → map_batches(normalize/pre-validate            # ONE function, which
+       → add pkey/gkey + watermark filter         #   Ray fuses into the
+       → to lake rows + raw html side column)     #   read operator
   → [cow: union(existing lake partitions, conformed to evolved schema)]
   → groupby(gkey).map_groups(LWW merge           # the ONLY wide shuffle
-       [+ late_extract: html→text on winners] + write)
+       + html→text on the winners + write)
   → two-phase manifest commit + checkpoints + lineage (driver, tiny)
 
 The merge exchange uses the HASH-shuffle strategy: rows are hash-
@@ -25,10 +25,11 @@ serializes committers; bounded object-store backpressure is configurable.
 Scale properties (designed for 10^10 events / multi-node):
 - the only all-to-all exchange is the hash shuffle on ``gkey``; everything
   before it streams with backpressure;
-- ``late_extract`` carries the raw html through the merge exchange and
-  extracts text only for LWW WINNERS (~1/U of the events for U updates
-  per url) — no separate winner-selection pass, so a commit group still
-  runs exactly one exchange;
+- html→text extraction is winners-only: the raw html rides through the
+  merge exchange and the merge extracts text only for LWW WINNERS (~1/U
+  of the events for U updates per url) — no extractor stage before the
+  shuffle and no separate winner-selection pass, so a commit group runs
+  exactly one exchange;
 - hot partitions (domain skew) split into ``salt_factor`` url-deterministic
   sub-groups so no single merge task serializes a hot domain;
 - per-partition counts are computed by per-batch partial aggregation over a
@@ -84,8 +85,9 @@ logger = logging.getLogger(__name__)
 
 def per_process_extractor():
     """Extraction callable whose extractor is built once per worker
-    process: the full-mode extraction stage (see its comment in
-    ``_run_ingest``) and the late-extract merge (``_make_merge_fn``)."""
+    process, for the merge's winners-only extraction
+    (``_make_merge_fn``). The extractor state is six compiled regexes, so
+    it needs no actor pool: the merge runs on the shared worker pool."""
     from gene_etl_ray.ops.util import per_process
 
     return per_process(HtmlTextExtractor)
@@ -113,8 +115,14 @@ MANIFEST_ROW_SCHEMA = pa.schema(
 
 
 #: late extraction's side column: the raw html of every event, carried
-#: through the merge exchange so only LWW winners are extracted
+#: through the merge exchange so only LWW winners are extracted. In a
+#: lake that stores html it IS the lake's html column, renamed, so html
+#: crosses the exchange once.
 HTML_SIDE_COLUMN = "__html"
+
+#: merge key of the placeholder row an emptied pre-shuffle batch ships
+#: (see ``_events_to_shuffle``); real keys are ``pkey * S + salt >= 0``
+EMPTY_GKEY = -1
 
 
 class AuditFailedError(RuntimeError):
@@ -315,6 +323,27 @@ def read_dead_letters(lake_dir: str) -> "ray.data.Dataset":
 
 class CrashInjected(RuntimeError):
     """Raised by the test-only crash hook after N partition commits."""
+
+
+class _CrashHook:
+    """``run_ingest(fail_after_partitions=N)``: lets N partition commits
+    of the run through, then raises CrashInjected at the next partition
+    commit (before it touches disk) or commit-group record, whichever
+    comes first — so exactly N partitions commit. Inert for N=None.
+    Partition commits run on a thread pool, hence the lock."""
+
+    def __init__(self, n: int | None):
+        self.left = n
+        self._lock = threading.Lock()
+
+    def check(self, spend: bool) -> None:
+        if self.left is None:
+            return
+        with self._lock:
+            if self.left == 0:
+                raise CrashInjected("injected crash after the last allowed partition commit")
+            if spend:
+                self.left -= 1
 
 
 def discover_epochs(events_dir: str, quarantine: list[str] | None = None) -> dict[int, str]:
@@ -532,19 +561,46 @@ def _make_key_stage(cfg: EngineConfig, hot: set[int], watermarks: np.ndarray, co
     return fn
 
 
-def _events_to_lake(
-    batch: pa.Table, target: pa.Schema, html_type: pa.DataType | None = None
-) -> pa.Table:
+def _with_html_side(out: pa.Table, html) -> pa.Table:
+    """``out`` (conformed lake rows) plus ``HTML_SIDE_COLUMN``: the lake's
+    own html column renamed in place when the lake stores html, else
+    ``html`` appended."""
+    if "html" in out.column_names:
+        return out.rename_columns(
+            [HTML_SIDE_COLUMN if c == "html" else c for c in out.column_names]
+        )
+    return out.append_column(HTML_SIDE_COLUMN, html)
+
+
+def _events_to_lake(batch: pa.Table, target: pa.Schema) -> pa.Table:
     """op → is_deleted tombstone flag; conform payload to the (possibly
-    evolved) lake schema; keep gkey for the shuffle. With ``html_type``
-    (late extraction) the raw html rides along as ``HTML_SIDE_COLUMN``
-    for the merge to extract the winners' text from."""
+    evolved) lake schema; keep gkey for the shuffle. The raw html rides
+    along as ``HTML_SIDE_COLUMN`` for the merge to extract the winners'
+    text from."""
     gkey = batch.column("gkey")
     batch = batch.append_column(DELETED_COLUMN, pc.equal(batch.column("op"), "D"))
-    out = conform_table(batch, target)
-    if html_type is not None:
-        out = out.append_column(HTML_SIDE_COLUMN, batch.column("html"))
+    out = _with_html_side(conform_table(batch, target), batch.column("html"))
     return out.append_column("gkey", gkey)
+
+
+def _events_to_shuffle(
+    batch: pa.Table, late_cutoff: int | None, key_stage, target: pa.Schema
+) -> pa.Table:
+    """The whole pre-shuffle event stage: normalize → key stage → to-lake,
+    in one function so an emptied batch keeps its schema (Ray does not
+    call a later fused ``map_batches`` on an empty batch, and passes it on
+    without that stage's columns).
+
+    A batch that loses every row (lateness cutoff, resume watermark)
+    leaves as one all-null row under ``EMPTY_GKEY``, a group the merge
+    discards: Ray's hash shuffle sends the schema to its aggregators only
+    with the first block it receives and skips an empty block before
+    sending, so an empty first block leaves every aggregator that then
+    gets no rows without a schema, and its sort on gkey fails."""
+    out = _events_to_lake(key_stage(normalize_batch(batch, late_cutoff)), target)
+    if out.num_rows == 0:
+        out = pa.Table.from_pylist([{"gkey": EMPTY_GKEY}], schema=out.schema)
+    return out
 
 
 def _make_lake_side_stage(
@@ -554,17 +610,16 @@ def _make_lake_side_stage(
     html_type: pa.DataType | None = None,
 ):
     """map_batches fn for existing lake rows entering the merge: conform
-    to ``target`` and add gkey — plus, under late extraction, a null
-    ``HTML_SIDE_COLUMN`` of the event side's type (stored rows are
-    already extracted)."""
+    to ``target`` and add gkey. Ingest passes the event side's
+    ``html_type`` to get ``HTML_SIDE_COLUMN`` as well (null unless the
+    lake stores html: stored rows are already extracted); compaction
+    passes none and its merge extracts nothing."""
     P, S = cfg.num_partitions, cfg.salt_factor
 
     def fn(batch: pa.Table) -> pa.Table:
         out = conform_table(batch, target)
         if html_type is not None:
-            out = out.append_column(
-                HTML_SIDE_COLUMN, pa.nulls(batch.num_rows, html_type)
-            )
+            out = _with_html_side(out, pa.nulls(batch.num_rows, html_type))
         urls = batch.column("url").to_numpy(zero_copy_only=False)
         _, gk = group_keys(urls, P, S, hot)
         return out.append_column("gkey", pa.array(gk, pa.int64()))
@@ -633,6 +688,7 @@ def _make_merge_fn(
     drop_tombstones_before_us: int | None = None,
     cluster_rows: int | None = None,
     transform=None,
+    keep_html: bool = False,
 ):
     """Per-group LWW merge + partition-file write (phase 1 of the commit).
 
@@ -655,14 +711,15 @@ def _make_merge_fn(
 
     Late extraction: when the group carries ``HTML_SIDE_COLUMN``, the
     surviving winners whose ``text`` is null get it extracted from their
-    html here, and the side column is dropped before the write. LWW
+    html here. The side column is then dropped before the write, or,
+    with ``keep_html``, renamed back to the lake's ``html`` column. LWW
     orders by (url, warc_ts, seq) only, never by text, so extracting
     after the dedup yields exactly the extract-everything result.
     """
     extract = per_process_extractor()
 
     def merge(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
+        if group.num_rows == 0 or group.column("gkey")[0].as_py() == EMPTY_GKEY:
             return MANIFEST_ROW_SCHEMA.empty_table()
         pkey = group.column(PKEY_COLUMN)[0].as_py()
         gkey = group.column("gkey")[0].as_py()
@@ -692,9 +749,14 @@ def _make_merge_fn(
             filled = extract(
                 pa.table({"text": t.column("text"), "html": t.column(HTML_SIDE_COLUMN)})
             )
-            t = t.drop_columns([HTML_SIDE_COLUMN])
             i = t.schema.get_field_index("text")
             t = t.set_column(i, t.schema.field(i), filled.column("text"))
+            if keep_html:
+                t = t.rename_columns(
+                    ["html" if c == HTML_SIDE_COLUMN else c for c in t.column_names]
+                )
+            else:
+                t = t.drop_columns([HTML_SIDE_COLUMN])
         if transform is not None:
             # backfill hook (transform_lake): fn sees the fully-resolved
             # winner table — tombstone rows included (their payload is
@@ -797,12 +859,15 @@ def run_ingest(
     """Ingest all not-yet-committed epochs from ``events_dir`` into the
     lake. Returns a metrics report. Safe to re-run after any crash: resume
     replays only epochs above each partition's high-watermark and converges
-    to the identical state (tests: SURVEY §5.2 scenarios 1-4)."""
+    to the identical state (tests: SURVEY §5.2 scenarios 1-4).
+    ``fail_after_partitions`` (tests) crashes the run once that many
+    partitions have committed, inside the production commit pool."""
     # The merge exchange needs hash-partitioning, not global order; Ray's
     # default sort-based groupby pays an O(n log n) sort whose CPU cost was
     # measured to EXPLODE with cluster size (173 CPU-s at 16 cpus vs 11.5
     # at 4, same input). Hash shuffle partitions without sorting and gave
-    # the best throughput and scaling (4→16 cpus: 0.68 vs 0.53 efficiency).
+    # the best throughput and scaling (4→16 cpus: 0.68 vs 0.53 efficiency),
+    # so it is the only strategy.
     from ray.data import DataContext
     from ray.data.context import ShuffleStrategy
 
@@ -817,6 +882,7 @@ def run_ingest(
     ctx = DataContext.get_current()
     prev_shuffle = ctx.shuffle_strategy
     prev_par = getattr(ctx, "default_hash_shuffle_parallelism", _MISSING)
+    prev_agg_cpus = ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override
     prev_limits = ctx.execution_options.resource_limits
     try:
         if cfg.object_store_limit_bytes is not None:
@@ -827,22 +893,26 @@ def run_ingest(
             ctx.execution_options.resource_limits = ExecutionResources(
                 object_store_memory=cfg.object_store_limit_bytes
             )
-        if cfg.shuffle == "hash":
-            ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-            # aggregator-actor count must scale with the cluster, never
-            # exceed it (aggregators starve small clusters)
-            import ray as _ray
-
-            cpus = int(_ray.cluster_resources().get("CPU", 8))
-            ctx.default_hash_shuffle_parallelism = min(cpus, 64)
-        elif cfg.shuffle == "push":
-            ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
+        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
+        # aggregator-actor count must scale with the cluster, never
+        # exceed it (aggregators starve small clusters)
+        cpus = int(ray.cluster_resources().get("CPU", 8))
+        ctx.default_hash_shuffle_parallelism = min(cpus, 64)
+        # ... and reserve no CPU: they only buffer and sort the shuffled
+        # blocks, while Ray's default holds half the cluster's CPUs for
+        # the whole shuffle. With that reserve the merge (which runs the
+        # extraction) leaves no CPU free, and the raylet keeps only as
+        # many idle workers as there are free CPUs: a task worker idle
+        # for 1 s through the merge is killed, and the next Dataset
+        # execution waits ~1 s for a fresh one (see BASELINE.md).
+        ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0
         return _run_ingest(cfg, events_dir, fail_after_partitions)
     finally:
         release(cfg.lake_dir)
         ctx.shuffle_strategy = prev_shuffle
         if prev_par is not _MISSING:
             ctx.default_hash_shuffle_parallelism = prev_par
+        ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = prev_agg_cpus
         ctx.execution_options.resource_limits = prev_limits
 
 
@@ -920,6 +990,7 @@ def _run_ingest(
 
     from gene_etl_ray.state.lock import heartbeat
 
+    crash = _CrashHook(fail_after_partitions)
     for i in range(0, len(todo), cfg.epochs_per_commit):
         heartbeat(cfg.lake_dir)  # cross-host lease renewal, once per group
         group_epochs = todo[i : i + cfg.epochs_per_commit]
@@ -1031,40 +1102,15 @@ def _run_ingest(
         write_lake_meta(lake_dir, meta)
 
         # -- the streaming pipeline --
+        # No extractor stage: the raw html rides through the shuffle as a
+        # side column and the merge extracts only the LWW winners (~1/U
+        # of the events for U updates per url), so Ray fuses the one
+        # pre-shuffle stage into the read.
+        key_stage = _make_key_stage(cfg, hot, wm_arr.copy(), commit_epoch)
         ds = ev_ds.map_batches(
-            lambda b, _c=late_cutoff: normalize_batch(b, _c), batch_format="pyarrow"
-        )
-        html_type = None
-        if cfg.late_extract:
-            # winners-only ("late") extraction, fused into the merge
-            # exchange: no extractor stage here — the raw html rides
-            # through the shuffle as a side column and the merge extracts
-            # only the LWW winners (~1/U of the events for U updates per
-            # url). Nothing about the winner set ever reaches the driver.
-            html_type = group_schema.field("html").type
-        else:
-            # Extraction as per-process TASKS, not a dedicated actor pool:
-            # the extractor state is six compiled regexes (microseconds to
-            # build — per_process rebuilds once per worker process), and
-            # the task form (a) shares the common worker pool with the
-            # read/shuffle stages (no pool ramp-up, no deadlock at small
-            # clusters, no over-subscription from pool+tasks running side
-            # by side — the BENCH_r02 "130 worker processes on 32 CPUs"
-            # tail warning), and (b) keeps no actor constructor args
-            # pinned in the object store (the BENCH_r02 ray#53727 restart
-            # warning). A stage with HEAVY per-worker state (model
-            # weights) should still use a real actor pool here.
-            ds = ds.map_batches(
-                per_process_extractor(),
-                batch_format="pyarrow",
-                batch_size=cfg.extract_batch_size,
-                num_cpus=0.75,
-            )
-        ds = ds.map_batches(
-            _make_key_stage(cfg, hot, wm_arr.copy(), commit_epoch), batch_format="pyarrow"
-        )
-        ds = ds.map_batches(
-            lambda b, target=target, h=html_type: _events_to_lake(b, target, h),
+            lambda b, _c=late_cutoff, _t=target: _events_to_shuffle(
+                b, _c, key_stage, _t
+            ),
             batch_format="pyarrow",
         )
 
@@ -1081,13 +1127,20 @@ def _run_ingest(
                 old = ray.data.read_parquet(
                     existing, partitioning=None, schema=target
                 ).map_batches(
-                    _make_lake_side_stage(cfg, hot, target, html_type),
+                    _make_lake_side_stage(
+                        cfg, hot, target, group_schema.field("html").type
+                    ),
                     batch_format="pyarrow",
                 )
                 ds = ds.union(old)
 
         merged = ds.groupby("gkey").map_groups(
-            _make_merge_fn(lake_dir, commit_epoch, drop_tombstones_before_us=late_cutoff),
+            _make_merge_fn(
+                lake_dir,
+                commit_epoch,
+                drop_tombstones_before_us=late_cutoff,
+                keep_html="html" in target.names,
+            ),
             batch_format="pyarrow",
         )
         t_pipe = time.time()
@@ -1126,11 +1179,9 @@ def _run_ingest(
                 raise AuditFailedError(audit)
             _clean_staged(lake_dir)  # publishing now — snapshot superseded
 
-        committed = 0
-        applied = 0
         lineage_lock = threading.Lock()
 
-        def commit_one(pkey: int, do_heartbeat: bool) -> int:
+        def commit_one(pkey: int) -> int:
             """Commit ONE partition (rename+manifest → checkpoint →
             lineage, in that order — the per-partition crash contract is
             unchanged). Partitions touch disjoint files throughout
@@ -1139,13 +1190,12 @@ def _run_ingest(
             only the lineage append shares a per-epoch file and takes an
             in-process lock (cross-process writers are already serialized
             by the lake lock). Returns the partition's applied count."""
-            if do_heartbeat:
-                heartbeat(cfg.lake_dir)  # lease renewal + ownership re-check
+            crash.check(spend=True)
             rs = by_pkey[pkey]
             # counts-pass number when available, else the merge groups'
-            # own pre-dedup input sizes (exact in full and late mode
-            # alike: the merge sees every event, and the key stage
-            # already dropped watermark-filtered ones before it)
+            # own pre-dedup input sizes (exact: the merge sees every
+            # event, and the key stage already dropped watermark-filtered
+            # ones before it)
             pkey_events = (
                 counts.get(pkey, 0)
                 if counts
@@ -1189,40 +1239,23 @@ def _run_ingest(
             return pkey_events
 
         t_commit = time.time()
-        if fail_after_partitions is not None:
-            # fault-injection path stays SEQUENTIAL so the crash
-            # staircase tests keep their deterministic "exactly N
-            # partitions committed" semantics; resume correctness never
-            # depended on commit order (per-partition watermarks), which
-            # is exactly what lets the production path parallelize
-            for pkey in sorted(by_pkey):
-                applied += commit_one(pkey, do_heartbeat=True)
-                committed += 1
-                if committed >= fail_after_partitions:
-                    raise CrashInjected(
-                        f"injected crash after {committed} partition commits"
-                    )
-        else:
-            # fsync-bound serial section → thread pool (the measured
-            # driver-side serial component: ~4 fsyncs/partition × 64
-            # partitions ≈ 1.7 s/commit group at 32 cpus). One lease
-            # check up front: the whole parallel phase is far shorter
-            # than the old per-partition loop it replaces.
-            heartbeat(cfg.lake_dir)
-            from concurrent.futures import ThreadPoolExecutor
+        # fsync-bound serial section → thread pool (the measured
+        # driver-side serial component: ~4 fsyncs/partition × 64
+        # partitions ≈ 1.7 s/commit group at 32 cpus). Resume correctness
+        # never depends on commit order (per-partition watermarks). One
+        # lease check up front: the whole parallel phase is far shorter
+        # than a per-partition loop.
+        heartbeat(cfg.lake_dir)
+        from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(
-                # fsync-bound, not CPU-bound: one thread per partition (the
-                # threads sleep in fsync) collapses the wave count — 64
-                # partitions measured 1.7 s at 16 threads vs ~0.6 s at 64
-                max_workers=min(64, max(1, len(by_pkey)))
-            ) as pool:
-                for n in pool.map(
-                    lambda k: commit_one(k, do_heartbeat=False),
-                    sorted(by_pkey),
-                ):
-                    applied += n
-                    committed += 1
+        with ThreadPoolExecutor(
+            # fsync-bound, not CPU-bound: one thread per partition (the
+            # threads sleep in fsync) collapses the wave count — 64
+            # partitions measured 1.7 s at 16 threads vs ~0.6 s at 64
+            max_workers=min(64, max(1, len(by_pkey)))
+        ) as pool:
+            applied = sum(pool.map(commit_one, sorted(by_pkey)))
+        crash.check(spend=False)
         # (no fresh-lake "applied = group_events" fast path: on a resume
         # with prevalidate=False that would count watermark-filtered,
         # already-committed events as applied — events_in above is exact)

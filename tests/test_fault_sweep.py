@@ -189,14 +189,13 @@ def test_fault_sweep_mor(tmp_path):
     )
 
 
-def test_fault_sweep_late_extract(tmp_path):
-    """Winners-only extraction fused into the merge exchange (html rides
-    the shuffle as a side column; the merge extracts the LWW winners).
-    The crash staircase must converge exactly like the full-extract
-    paths."""
+def test_fault_sweep_cow(tmp_path):
+    """Copy-on-write without snapshot retention: superseded files are
+    GC'd at commit, so every torn state between a manifest publish and
+    the GC must still converge."""
     _sweep(
         tmp_path,
-        dict(epochs_per_commit=2, late_extract=True),
+        dict(epochs_per_commit=2),
         starts=(1, 7),
         min_crashes=8,
     )

@@ -222,26 +222,26 @@ def test_tombstones_block_resurrection(tmp_events, tmp_lake):
     assert len(stored) == 1 and bool(stored["is_deleted"][0])
 
 
-def test_late_extract_matches_oracle(tmp_events, tmp_lake, tmp_path):
-    """Winners-only extraction (cfg.late_extract) is semantically identical
-    to extract-everything: same oracle state, including ties/out-of-order/
-    deletes and mid-stream schema-add."""
+def test_winners_only_extraction_matches_oracle(tmp_events, tmp_lake, tmp_path):
+    """Winners-only extraction inside the merge is semantically identical
+    to the oracle's extract-everything: same oracle state, including
+    ties/out-of-order/deletes and mid-stream schema-add."""
     generate_events(
         tmp_events, n_urls=300, n_events=1500, n_epochs=6,
         tie_frac=0.15, out_of_order_frac=0.2, schema_add_epoch=3,
     )
     cfg = EngineConfig(
-        lake_dir=tmp_lake, num_partitions=8, epochs_per_commit=2, late_extract=True
+        lake_dir=tmp_lake, num_partitions=8, epochs_per_commit=2
     )
     run_ingest(cfg, tmp_events)
     assert_matches_oracle(tmp_lake, tmp_events)
 
 
-def test_late_extract_without_counts_pass_matches_oracle(
+def test_without_counts_pass_matches_oracle(
     tmp_events, tmp_lake, tmp_path
 ):
-    """Late extraction with ``prevalidate=False``: no counts pass runs, so
-    applied accounting comes from the merge groups' pre-dedup sizes —
+    """``prevalidate=False``: no counts pass runs, so applied
+    accounting comes from the merge groups' pre-dedup sizes —
     exact, because the merge sees every admitted event. The lake must
     converge to the identical oracle state, ties/out-of-order/deletes/
     schema-add included."""
@@ -253,7 +253,7 @@ def test_late_extract_without_counts_pass_matches_oracle(
     )
     cfg = EngineConfig(
         lake_dir=tmp_lake, num_partitions=8, epochs_per_commit=2,
-        late_extract=True, prevalidate=False,
+        prevalidate=False,
     )
     rep = run_ingest(cfg, tmp_events)
     admitted = sum(
@@ -358,16 +358,17 @@ def test_lookup_urls_point_query(tmp_events, tmp_lake):
     assert list(got.sort_values("url")["text"]) == list(exp["text"])
 
 
-def test_mor_plus_late_extract_compose(tmp_events, tmp_lake):
-    """The two optimizations compose: winners-only extraction into a
-    merge-on-read lake still converges to the oracle state."""
+def test_mor_winners_only_extraction_matches_oracle(tmp_events, tmp_lake):
+    """Winners-only extraction into a merge-on-read lake (delta appends,
+    read-side LWW) converges to the oracle state, ties and out-of-order
+    events included."""
     generate_events(
         tmp_events, n_urls=250, n_events=1200, n_epochs=4,
         tie_frac=0.15, out_of_order_frac=0.2,
     )
     cfg = EngineConfig(
         lake_dir=tmp_lake, num_partitions=8, epochs_per_commit=2,
-        merge_mode="mor", late_extract=True,
+        merge_mode="mor",
     )
     run_ingest(cfg, tmp_events)
     assert_matches_oracle(tmp_lake, tmp_events)

@@ -1,8 +1,8 @@
 """Skew-path burn-in at a larger synthetic scale (r3 verdict item #9):
 one ingest an order of magnitude above the other e2e tests, with a much
 hotter Zipf domain skew, driving hot-partition salting on the merge
-shuffle together with late extraction (winners extracted inside the
-salted merge groups) — and asserting the lake still converges
+shuffle together with winners-only extraction (winners extracted inside
+the salted merge groups) — and asserting the lake still converges
 byte-identically to the single-process replay oracle."""
 
 import logging
@@ -17,7 +17,7 @@ from gene_etl_ray.pipelines.ingest import run_ingest
 from test_ingest_e2e import assert_matches_oracle
 
 
-def test_hot_skew_salted_late_extract_burnin(tmp_path, ray_session, caplog):
+def test_hot_skew_salted_burnin(tmp_path, ray_session, caplog):
     events = str(tmp_path / "events")
     lake = str(tmp_path / "lake")
     meta = generate_events(
@@ -37,7 +37,6 @@ def test_hot_skew_salted_late_extract_burnin(tmp_path, ray_session, caplog):
         epochs_per_commit=2,
         # low threshold: the hot domains MUST trip the salted merge path
         hot_partition_threshold=5_000,
-        late_extract=True,
     )
     with caplog.at_level(logging.INFO, logger="gene_etl_ray.pipelines.ingest"):
         rep = run_ingest(cfg, events)
@@ -75,7 +74,6 @@ def test_hot_skew_salted_burnin_5m(tmp_path, ray_session, caplog):
         num_partitions=32,
         epochs_per_commit=2,
         hot_partition_threshold=40_000,
-        late_extract=True,
     )
     with caplog.at_level(logging.INFO, logger="gene_etl_ray.pipelines.ingest"):
         rep = run_ingest(cfg, events)

@@ -160,6 +160,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             EngineConfig(lake_dir="/tmp/x", num_partitions=0)
 
+    def test_late_extract_is_accepted_and_not_hashed(self, tmp_path):
+        d = str(tmp_path)
+        assert (
+            EngineConfig(lake_dir=d, late_extract=False).hash()
+            == EngineConfig(lake_dir=d, late_extract=True).hash()
+            == EngineConfig(lake_dir=d).hash()
+        )
+
 
 class TestCrossProcessDeterminism:
     def test_extractor_bytes_identical_across_processes(self, tmp_path):
@@ -256,3 +264,69 @@ class TestLateMergeExtraction:
             "http://d/": "stored",
         }
         assert written.column("is_deleted").to_pylist() == [False, True, False, False]
+
+    def test_keep_html_crosses_exchange_once(self, tmp_path):
+        """A lake that stores html ships it into the exchange once, from
+        the event side and the cow lake side alike: as the side column,
+        in the lake column's place. The merge extracts the winners and
+        writes the column back as ``html``."""
+        import pyarrow.parquet as pq
+
+        from gene_etl_ray.pipelines.ingest import (
+            HTML_SIDE_COLUMN,
+            _events_to_lake,
+            _make_lake_side_stage,
+            _make_merge_fn,
+        )
+        from gene_etl_ray.schema import EVENT_SCHEMA, lake_schema_for
+
+        target = lake_schema_for(EVENT_SCHEMA, keep_html=True)
+        new_html = b"<p>new <b>body</b></p>"
+        events = pa.table(
+            {
+                "url": pa.array(["http://a/", "http://a/"], pa.string()),
+                "warc_ts": pa.array([100, 200], pa.timestamp("us")),
+                "html": pa.array([b"<p>old</p>", new_html], pa.binary()),
+                "text": pa.nulls(2, pa.string()),
+                "lang": pa.nulls(2, pa.string()),
+                "op": pa.array(["I", "U"], pa.string()),
+                "seq": pa.array([0, 1], pa.int64()),
+                "epoch": pa.array([1, 1], pa.int32()),
+                "pkey": pa.array([0, 0], pa.int32()),
+                "gkey": pa.array([0, 0], pa.int64()),
+            }
+        )
+        stored = conform_table(
+            pa.table(
+                {
+                    "url": pa.array(["http://b/"], pa.string()),
+                    "warc_ts": pa.array([50], pa.timestamp("us")),
+                    "html": pa.array([b"<p>kept</p>"], pa.binary()),
+                    "text": pa.array(["kept"], pa.string()),
+                    "seq": pa.array([7], pa.int64()),
+                    "epoch": pa.array([0], pa.int32()),
+                    "pkey": pa.array([0], pa.int32()),
+                    "is_deleted": pa.array([False], pa.bool_()),
+                }
+            ),
+            target,
+        )
+        ev = _events_to_lake(events, target)
+        cfg = EngineConfig(lake_dir=str(tmp_path), num_partitions=1)
+        old = _make_lake_side_stage(cfg, set(), target, pa.binary())(stored)
+        side = [HTML_SIDE_COLUMN if c == "html" else c for c in target.names]
+        assert ev.schema.names == old.schema.names == side + ["gkey"]
+        assert ev.schema == old.schema
+
+        out = _make_merge_fn(str(tmp_path), commit_epoch=1, keep_html=True)(
+            pa.concat_tables([ev, old])
+        )
+        written = pq.read_table(out.column("path")[0].as_py())
+        assert written.schema.names == target.names
+        got = {
+            r["url"]: (r["html"], r["text"]) for r in written.to_pylist()
+        }
+        assert got == {
+            "http://a/": (new_html, extract_text(new_html)),
+            "http://b/": (b"<p>kept</p>", "kept"),
+        }
