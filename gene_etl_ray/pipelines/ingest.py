@@ -4,36 +4,41 @@ Ray-Data-native restatement of the reference's seven-phase batch lifecycle
 (``etl/__init__.py:40-110``: extract → pre-validate → transform → compute →
 post-validate → persist → finalize), per SURVEY §3.4:
 
-  read_parquet(uncommitted epoch files)           # zero-copy Arrow blocks
-  → map_batches(normalize/pre-validate            # ONE function, which
-       → add pkey/gkey + watermark filter         #   Ray fuses into the
-       → to lake rows + raw html side column)     #   read operator
-  → [cow: union(existing lake partitions, conformed to evolved schema)]
-  → groupby(gkey).map_groups(LWW merge           # the ONLY wide shuffle
-       + html→text on the winners + write)
+  read row groups of the uncommitted epoch files  # ONE task per ~128 MiB
+  → normalize/pre-validate                        #   read unit: read,
+  → add pkey/gkey + watermark filter              #   prep and the
+  → to lake rows + raw html side column           #   exchange's map side
+  → order the block by (bucket, gkey)
+  → [cow: + existing lake partitions, conformed to evolved schema]
+  → one merge task per bucket: LWW merge         # the ONLY wide exchange
+       + html→text on the winners + write, once per gkey group
   → two-phase manifest commit + checkpoints + lineage (driver, tiny)
 
-The merge exchange uses the HASH-shuffle strategy: rows are hash-
-partitioned to stateful aggregator ACTORS keyed by ``gkey`` (the
-"stateful merge appliers" of the design) — no sort, whose CPU cost was
-measured to grow super-linearly with cluster size. Sinks: copy-on-write
+The merge exchange (``_merge_exchange``) is built from stateless tasks on
+the shared worker pool, on the model of Exoshuffle: no actor and no sort
+of the group. Each read task leaves its block in the object store ordered by
+(bucket, gkey); merge task r then takes bucket r's zero-copy runs of every
+block and merges them one gkey group at a time. Sinks: copy-on-write
 (rewrite touched partitions) or merge-on-read (append LWW-deduped
 deltas + read-side resolution + ``compact``). Torn/corrupt WAL segments
 are quarantined with later epochs held back; a single-writer lock
 serializes committers; bounded object-store backpressure is configurable.
 
 Scale properties (designed for 10^10 events / multi-node):
-- the only all-to-all exchange is the hash shuffle on ``gkey``; everything
-  before it streams with backpressure;
+- the only all-to-all exchange is the merge exchange on ``gkey``;
+  everything before it streams with backpressure. On one node the merge
+  tasks read the blocks in place (zero-copy slices of shared memory);
+  across nodes a merge task fetches every block whole (open item,
+  ROADMAP item 3);
 - html→text extraction is winners-only: the raw html rides through the
   merge exchange and the merge extracts text only for LWW WINNERS (~1/U
   of the events for U updates per url) — no extractor stage before the
-  shuffle and no separate winner-selection pass, so a commit group runs
+  exchange and no separate winner-selection pass, so a commit group runs
   exactly one exchange;
 - hot partitions (domain skew) split into ``salt_factor`` url-deterministic
   sub-groups so no single merge task serializes a hot domain;
 - per-partition counts are computed by per-batch partial aggregation over a
-  column-pruned envelope read (no shuffle, html never leaves storage);
+  column-pruned envelope read (no exchange, html never leaves storage);
 - merge tasks write their own partition files — bulk data never visits the
   driver; the driver only sees one manifest row per merge group;
 - commits are O(touched partitions); resume replays only epochs above each
@@ -119,11 +124,6 @@ MANIFEST_ROW_SCHEMA = pa.schema(
 #: lake that stores html it IS the lake's html column, renamed, so html
 #: crosses the exchange once.
 HTML_SIDE_COLUMN = "__html"
-
-#: merge key of the placeholder row an emptied pre-shuffle batch ships
-#: (see ``_events_to_shuffle``); real keys are ``pkey * S + salt >= 0``
-EMPTY_GKEY = -1
-
 
 class AuditFailedError(RuntimeError):
     """A write-audit-publish gate rejected a staged commit group; the
@@ -470,8 +470,8 @@ def _schema_to_hex(s: pa.Schema) -> str:
 
 def _schema_from_hex(h: str) -> pa.Schema:
     # remove_metadata: schemas stored by older engine versions may carry
-    # pandas metadata, which is unhashable and defeats Ray's shuffle
-    # schema dedup (see run_ingest's group_schema note)
+    # pandas metadata, which is unhashable and defeats Ray's schema
+    # dedup (see run_ingest's group_schema note)
     return pa.ipc.read_schema(pa.BufferReader(bytes.fromhex(h))).remove_metadata()
 
 
@@ -491,8 +491,9 @@ def _partition_counts(
     cfg: EngineConfig,
     wm_arr: np.ndarray | None = None,
     late_cutoff_us: int | None = None,
-) -> tuple[dict[int, int], dict]:
-    """Per-partition TO-APPLY event counts + pre-validation totals, via
+) -> tuple[dict[int, int], dict, dict[str, float]]:
+    """Per-partition TO-APPLY event counts + pre-validation totals (+ the
+    pass's per-operator wall times), via
     per-batch partial aggregation over a column-pruned envelope read (no
     html, no shuffle). Counts mirror the main pipeline's watermark filter
     (events at/below a partition's committed epoch are excluded) so
@@ -523,7 +524,8 @@ def _partition_counts(
             }
         )
 
-    parts = env.map_batches(partials, batch_format="pyarrow").take_all()
+    env = env.map_batches(partials, batch_format="pyarrow")
+    parts = env.take_all()
     total = np.zeros(P, dtype=np.int64)
     val = {
         "events": 0,
@@ -537,7 +539,70 @@ def _partition_counts(
         total += np.asarray(r["pkey_counts"], dtype=np.int64)
         for k in val:
             val[k] += int(r[k])
-    return {k: int(c) for k, c in enumerate(total) if c > 0}, val
+    return {k: int(c) for k, c in enumerate(total) if c > 0}, val, _op_secs(env)
+
+
+#: decoded bytes of row groups one read task takes on (one block)
+READ_UNIT_BYTES = 128 << 20
+
+
+def _read_units(
+    files: list[str], footers: list[pq.FileMetaData], min_units: int
+) -> list[list[tuple[str, int]]]:
+    """Plan a commit group's read tasks from the footers in hand (no
+    ``read_parquet``, which opens and samples the files again on the
+    driver): contiguous runs of ``(file, row group)`` of at most
+    ``READ_UNIT_BYTES`` decoded, smaller when that yields fewer than
+    ``min_units`` tasks; never less than one row group. The exchange
+    costs a slice per (block, merge group), so blocks are not cut finer."""
+    sized = [
+        (f, i, md.row_group(i).total_byte_size)
+        for f, md in zip(files, footers)
+        for i in range(md.num_row_groups)
+    ]
+    cap = min(READ_UNIT_BYTES, sum(b for *_, b in sized) / max(1, min_units))
+    units: list[list[tuple[str, int]]] = []
+    run, acc = [], 0
+    for f, i, b in sized:
+        if run and acc + b > cap:
+            units.append(run)
+            run, acc = [], 0
+        run.append((f, i))
+        acc += b
+    return units + [run]
+
+
+def _read_row_groups(unit: list[tuple[str, int]], schema: pa.Schema) -> pa.Table:
+    """One read task's share of a commit group: its ``(file, row group)``
+    run, conformed to the group's unified ``schema`` (a segment written
+    before a schema change gets the new columns null-backfilled)."""
+    by_file: dict[str, list[int]] = {}
+    for f, i in unit:
+        by_file.setdefault(f, []).append(i)
+    return pa.concat_tables(
+        [schema.empty_table()]
+        + [
+            conform_table(pq.ParquetFile(f).read_row_groups(rgs), schema)
+            for f, rgs in by_file.items()
+        ]
+    )
+
+
+class _NoFooterPrefetch(ray.data.datasource.ParquetMetadataProvider):
+    """Lake reads leave each file's footer to its read task. Ray's
+    default provider fetches the footers of a read over 24 files up
+    front in 0.5-CPU tasks, so a scan of a merge-on-read delta stack
+    wants twice as many worker processes as CPUs; the raylet kills the
+    surplus while an ingest holds every CPU, and the next scan waits for
+    new workers or ~1 s in that fetch (BASELINE.md "Task-based merge
+    exchange"). Ray 2.49 marks ``read_parquet(meta_provider=)``
+    deprecated but honours it."""
+
+    def prefetch_file_metadata(self, fragments, **ray_remote_args):
+        return None
+
+
+_NO_FOOTER_PREFETCH = _NoFooterPrefetch()
 
 
 def _make_key_stage(cfg: EngineConfig, hot: set[int], watermarks: np.ndarray, commit_epoch: int):
@@ -574,7 +639,7 @@ def _with_html_side(out: pa.Table, html) -> pa.Table:
 
 def _events_to_lake(batch: pa.Table, target: pa.Schema) -> pa.Table:
     """op → is_deleted tombstone flag; conform payload to the (possibly
-    evolved) lake schema; keep gkey for the shuffle. The raw html rides
+    evolved) lake schema; keep gkey for the merge exchange. The raw html rides
     along as ``HTML_SIDE_COLUMN`` for the merge to extract the winners'
     text from."""
     gkey = batch.column("gkey")
@@ -586,21 +651,11 @@ def _events_to_lake(batch: pa.Table, target: pa.Schema) -> pa.Table:
 def _events_to_shuffle(
     batch: pa.Table, late_cutoff: int | None, key_stage, target: pa.Schema
 ) -> pa.Table:
-    """The whole pre-shuffle event stage: normalize → key stage → to-lake,
-    in one function so an emptied batch keeps its schema (Ray does not
-    call a later fused ``map_batches`` on an empty batch, and passes it on
-    without that stage's columns).
-
-    A batch that loses every row (lateness cutoff, resume watermark)
-    leaves as one all-null row under ``EMPTY_GKEY``, a group the merge
-    discards: Ray's hash shuffle sends the schema to its aggregators only
-    with the first block it receives and skips an empty block before
-    sending, so an empty first block leaves every aggregator that then
-    gets no rows without a schema, and its sort on gkey fails."""
-    out = _events_to_lake(key_stage(normalize_batch(batch, late_cutoff)), target)
-    if out.num_rows == 0:
-        out = pa.Table.from_pylist([{"gkey": EMPTY_GKEY}], schema=out.schema)
-    return out
+    """The whole pre-exchange event stage: normalize → key stage →
+    to-lake, in one function so an emptied batch keeps its schema (Ray
+    does not call a later fused ``map_batches`` on an empty batch, and
+    passes it on without that stage's columns)."""
+    return _events_to_lake(key_stage(normalize_batch(batch, late_cutoff)), target)
 
 
 def _make_lake_side_stage(
@@ -719,7 +774,7 @@ def _make_merge_fn(
     extract = per_process_extractor()
 
     def merge(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.column("gkey")[0].as_py() == EMPTY_GKEY:
+        if group.num_rows == 0:
             return MANIFEST_ROW_SCHEMA.empty_table()
         pkey = group.column(PKEY_COLUMN)[0].as_py()
         gkey = group.column("gkey")[0].as_py()
@@ -851,6 +906,113 @@ def _make_merge_fn(
     return merge
 
 
+#: stored (Parquet) input bytes per merge task above which the merge
+#: exchange adds buckets beyond one per CPU
+EXCHANGE_BUCKET_BYTES = 64 << 20
+
+
+def _exchange_width(cpus: int, nbytes: int, num_groups: int) -> int:
+    """R, the merge exchange's bucket count: one per CPU, more once a
+    bucket would hold over ``EXCHANGE_BUCKET_BYTES`` of stored input,
+    never more than there are merge groups."""
+    return min(max(cpus, -(-nbytes // EXCHANGE_BUCKET_BYTES)), num_groups)
+
+
+def _bucket_of(gkey: np.ndarray, S: int, R: int) -> np.ndarray:
+    """Exchange bucket of each merge group key ``gkey = pkey * S + salt``:
+    ``(pkey + salt) % R``. A bare ``gkey % R`` would send every unsalted
+    group (``gkey = pkey * S``) to the buckets that are multiples of
+    ``gcd(S, R)``; this spreads partitions round-robin and a hot
+    partition's salted sub-groups over consecutive buckets."""
+    return (gkey // S + gkey % S) % R
+
+
+def _bucket_sort(t: pa.Table, S: int, R: int) -> pa.Table:
+    """Map side of the merge exchange: order a block by (bucket, gkey)
+    with one stable argsort and one ``take``, so every gkey group of the
+    block is one contiguous run that ``_bucket_groups`` slices zero-copy.
+    (A ``take`` per bucket would rebuild the block R times.)"""
+    gk = t.column("gkey").to_numpy()
+    return t.take(np.lexsort((gk, _bucket_of(gk, S, R))))
+
+
+def _bucket_groups(blocks: list[pa.Table], r: int, S: int, R: int) -> list[pa.Table]:
+    """Reduce side of the merge exchange: every gkey group of bucket
+    ``r``, whole, in gkey order. Each group is the concatenation of its
+    runs in ``blocks`` — zero-copy slices, never a ``take`` across the
+    bucket (a bucket can pass the 2 GiB offset limit of an Arrow binary
+    array; one merge group is bounded by salting). Runs are found by key
+    change, so a block holding several sorted runs is still exact."""
+    runs: dict[int, list[pa.Table]] = {}
+    for t in blocks:
+        if t.num_rows == 0:
+            continue
+        gk = t.column("gkey").to_numpy()
+        cuts = np.flatnonzero(np.diff(gk)) + 1
+        starts = np.concatenate(([0], cuts))
+        ends = np.concatenate((cuts, [len(gk)]))
+        keys = gk[starts]
+        for i in np.flatnonzero(_bucket_of(keys, S, R) == r):
+            runs.setdefault(int(keys[i]), []).append(t.slice(starts[i], ends[i] - starts[i]))
+    return [pa.concat_tables(runs[g]) for g in sorted(runs)]
+
+
+def _op_secs(*datasets: "ray.data.Dataset") -> dict[str, float]:
+    """Ray's per-operator wall time (s) of executed Datasets, branches of
+    a union included, from the structured stats summary."""
+    out: dict[str, float] = {}
+    todo = [ds._get_stats_summary() for ds in datasets]
+    while todo:
+        summary = todo.pop()
+        for op in summary.operators_stats:
+            name = op.operator_name[:60]
+            out[name] = out.get(name, 0.0) + op.time_total_s
+        todo.extend(summary.parents)
+    return out
+
+
+def _merge_exchange(
+    sides: list[tuple["ray.data.Dataset", object]], merge, S: int, R: int
+) -> tuple[list[dict], dict[str, float]]:
+    """The one wide exchange of a commit group: every row of one gkey
+    reaches one ``merge`` call, with no actor and no sort of the group.
+
+    1. Each side is a read Dataset and the prep function of its blocks;
+       prep and the map side (``_bucket_sort``) run fused into the read
+       tasks, as one Dataset execution whose blocks stay in the object
+       store.
+    2. One merge task per bucket reads bucket r's runs of every block —
+       zero-copy views of shared memory — and calls ``merge`` once per
+       gkey group. The blocks are sealed before any merge task starts,
+       so its ``ray.get`` never waits (a task blocked in ``ray.get``
+       releases its CPU, and Ray may start another worker process on
+       it).
+
+    Returns the merge's manifest rows and the per-operator wall times of
+    both executions."""
+    staged = None
+    for ds, prep in sides:
+
+        def prep_and_sort(b: pa.Table, _prep=prep) -> pa.Table:
+            return _bucket_sort(_prep(b), S, R)
+
+        side = ds.map_batches(prep_and_sort, batch_size=None, batch_format="pyarrow")
+        staged = side if staged is None else staged.union(side)
+    staged = staged.materialize()
+    refs = [ref for bundle in staged.iter_internal_ref_bundles() for ref in bundle.block_refs]
+
+    def merge_buckets(batch: dict) -> pa.Table:
+        blocks = ray.get(refs)
+        out = [merge(g) for r in batch["id"] for g in _bucket_groups(blocks, int(r), S, R)]
+        return pa.concat_tables([MANIFEST_ROW_SCHEMA.empty_table(), *out])
+
+    merged = ray.data.range(R, override_num_blocks=R).map_batches(
+        merge_buckets, batch_size=None
+    )
+    rows = merged.take_all()
+    return rows, _op_secs(staged, merged)
+
+
 def run_ingest(
     cfg: EngineConfig,
     events_dir: str,
@@ -862,14 +1024,7 @@ def run_ingest(
     to the identical state (tests: SURVEY §5.2 scenarios 1-4).
     ``fail_after_partitions`` (tests) crashes the run once that many
     partitions have committed, inside the production commit pool."""
-    # The merge exchange needs hash-partitioning, not global order; Ray's
-    # default sort-based groupby pays an O(n log n) sort whose CPU cost was
-    # measured to EXPLODE with cluster size (173 CPU-s at 16 cpus vs 11.5
-    # at 4, same input). Hash shuffle partitions without sorting and gave
-    # the best throughput and scaling (4→16 cpus: 0.68 vs 0.53 efficiency),
-    # so it is the only strategy.
     from ray.data import DataContext
-    from ray.data.context import ShuffleStrategy
 
     from gene_etl_ray.state.lock import acquire, release
 
@@ -878,11 +1033,7 @@ def run_ingest(
     os.makedirs(cfg.lake_dir, exist_ok=True)
     acquire(cfg.lake_dir)  # single-writer: concurrent committers would race
 
-    _MISSING = object()
     ctx = DataContext.get_current()
-    prev_shuffle = ctx.shuffle_strategy
-    prev_par = getattr(ctx, "default_hash_shuffle_parallelism", _MISSING)
-    prev_agg_cpus = ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override
     prev_limits = ctx.execution_options.resource_limits
     try:
         if cfg.object_store_limit_bytes is not None:
@@ -893,26 +1044,9 @@ def run_ingest(
             ctx.execution_options.resource_limits = ExecutionResources(
                 object_store_memory=cfg.object_store_limit_bytes
             )
-        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-        # aggregator-actor count must scale with the cluster, never
-        # exceed it (aggregators starve small clusters)
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        ctx.default_hash_shuffle_parallelism = min(cpus, 64)
-        # ... and reserve no CPU: they only buffer and sort the shuffled
-        # blocks, while Ray's default holds half the cluster's CPUs for
-        # the whole shuffle. With that reserve the merge (which runs the
-        # extraction) leaves no CPU free, and the raylet keeps only as
-        # many idle workers as there are free CPUs: a task worker idle
-        # for 1 s through the merge is killed, and the next Dataset
-        # execution waits ~1 s for a fresh one (see BASELINE.md).
-        ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0
         return _run_ingest(cfg, events_dir, fail_after_partitions)
     finally:
         release(cfg.lake_dir)
-        ctx.shuffle_strategy = prev_shuffle
-        if prev_par is not _MISSING:
-            ctx.default_hash_shuffle_parallelism = prev_par
-        ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = prev_agg_cpus
         ctx.execution_options.resource_limits = prev_limits
 
 
@@ -932,6 +1066,7 @@ def _run_ingest(
     _clean_stale_tmp(lake_dir)
     _clean_staged(lake_dir)  # unpublished WAP state is redone, not resumed
     P = cfg.num_partitions
+    config_hash = cfg.hash()
 
     meta = read_lake_meta(lake_dir)
     if meta is not None and meta["num_partitions"] != P:
@@ -973,7 +1108,7 @@ def _run_ingest(
         "events_in": 0,
         "events_applied": 0,
         "commits": [],
-        "config_hash": cfg.hash(),
+        "config_hash": config_hash,
         "validation": {},
         "quarantined_segments": quarantined,
     }
@@ -990,6 +1125,7 @@ def _run_ingest(
 
     from gene_etl_ray.state.lock import heartbeat
 
+    cpus = int(ray.cluster_resources().get("CPU", 8))
     crash = _CrashHook(fail_after_partitions)
     for i in range(0, len(todo), cfg.epochs_per_commit):
         heartbeat(cfg.lake_dir)  # cross-host lease renewal, once per group
@@ -1020,15 +1156,15 @@ def _run_ingest(
             )
 
         t_grp = time.time()
-        group_events = sum(pq.read_metadata(f).num_rows for f in files)
-        report["events_in"] += group_events
+        footers = [pq.read_metadata(f) for f in files]
+        report["events_in"] += sum(md.num_rows for md in footers)
         # The counts/pre-validation pass prunes the lake-side read and
         # detects hot partitions. On a FRESH lake there is nothing to
         # prune, so it may be skipped (cfg.prevalidate=False) — the merge
         # output then determines the affected set post-hoc.
         has_lake = bool(current_files(lake_dir))
         if cfg.prevalidate or (has_lake and cfg.merge_mode == "cow"):
-            counts, val = _partition_counts(files, cfg, wm_arr, late_cutoff)
+            counts, val, stage_secs = _partition_counts(files, cfg, wm_arr, late_cutoff)
             for k, v in val.items():
                 report["validation"][k] = report["validation"].get(k, 0) + v
             hot = {k for k, c in counts.items() if c > cfg.hot_partition_threshold}
@@ -1037,7 +1173,7 @@ def _run_ingest(
                     "salting armed: %d hot partition(s) %s exceed "
                     "hot_partition_threshold=%d (max count %d) — each "
                     "splits into %d url-deterministic sub-keys for the "
-                    "merge shuffle",
+                    "merge exchange",
                     len(hot), sorted(hot)[:8], cfg.hot_partition_threshold,
                     max(counts.values()), cfg.salt_factor)
             affected = [k for k in counts if commit_epoch > wm_arr[k]]
@@ -1057,7 +1193,7 @@ def _run_ingest(
                     ev_time_wm = m if ev_time_wm is None else max(ev_time_wm, m)
                 continue
         else:
-            counts, hot, affected = {}, set(), []
+            counts, hot, affected, stage_secs = {}, set(), [], {}
         t_counts = time.time() - t_grp
 
         # -- schema evolution (phase 0: durable BEFORE any data commit) --
@@ -1065,23 +1201,13 @@ def _run_ingest(
         # files' schemas (additive + widening) and read with the unified
         # schema so the scanner null-backfills / casts per fragment.
         group_schema: pa.Schema | None = None
-        for f in files:
+        for md in footers:
             # strip file-level (pandas) schema metadata: an unhashable
-            # metadata dict defeats Ray's shuffle schema dedup — every
-            # reduce task then re-ships and re-compares full schemas
-            s = pq.read_schema(f).remove_metadata()
+            # metadata dict defeats Ray's schema dedup
+            s = md.schema.to_arrow_schema().remove_metadata()
             group_schema = s if group_schema is None else evolve_schema(group_schema, s)
-        # Block sizing: the sort-based groupby shuffle costs
-        # O(in_blocks × reduce_blocks) in scheduling, so hundreds of tiny
-        # read blocks make the shuffle dominate (measured 27s of 38s at
-        # 200k events). Size blocks from the input bytes (~128 MiB each),
-        # floored at 2×CPUs for parallelism — no repartition barrier.
-        group_bytes = sum(os.path.getsize(f) for f in files)
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        n_read_blocks = int(min(max(2 * cpus, group_bytes // (128 << 20)), 4096))
-        ev_ds = ray.data.read_parquet(
-            files, schema=group_schema, override_num_blocks=n_read_blocks
-        )
+        exchange_bytes = sum(os.path.getsize(f) for f in files)
+        units = _read_units(files, footers, 2 * cpus)
         incoming_lake = lake_schema_for(group_schema, keep_html=cfg.keep_html)
         if meta is None:
             target = incoming_lake
@@ -1091,7 +1217,7 @@ def _run_ingest(
             "num_partitions": P,
             "salt_factor": cfg.salt_factor,
             "schema_hex": _schema_to_hex(target),
-            "config_hash": cfg.hash(),
+            "config_hash": config_hash,
             "merge_mode": cfg.merge_mode,
             "retain_history": cfg.retain_history,
             "gc_grace_seconds": cfg.gc_grace_seconds,
@@ -1102,63 +1228,67 @@ def _run_ingest(
         write_lake_meta(lake_dir, meta)
 
         # -- the streaming pipeline --
-        # No extractor stage: the raw html rides through the shuffle as a
-        # side column and the merge extracts only the LWW winners (~1/U
-        # of the events for U updates per url), so Ray fuses the one
-        # pre-shuffle stage into the read.
+        # No extractor stage: the raw html rides through the exchange as
+        # a side column and the merge extracts only the LWW winners (~1/U
+        # of the events for U updates per url), so read → prep → map side
+        # run as one task per read unit.
         key_stage = _make_key_stage(cfg, hot, wm_arr.copy(), commit_epoch)
-        ds = ev_ds.map_batches(
-            lambda b, _c=late_cutoff, _t=target: _events_to_shuffle(
-                b, _c, key_stage, _t
-            ),
-            batch_format="pyarrow",
-        )
+        sides = [
+            (
+                ray.data.range(len(units), override_num_blocks=len(units)),
+                lambda b, _c=late_cutoff, _t=target, _s=group_schema: pa.concat_tables(
+                    [
+                        _events_to_shuffle(_read_row_groups(units[u], _s), _c, key_stage, _t)
+                        for u in b.column("id").to_pylist()
+                    ]
+                ),
+            )
+        ]
 
-        # cow: union the affected partitions' current state so the merge
-        # rewrites them whole. mor: skip the lake read entirely — the
-        # LWW-deduped delta is APPENDED and reads resolve across files.
+        # cow: the affected partitions' current state joins the exchange
+        # so the merge rewrites them whole. mor: skip the lake read
+        # entirely — the LWW-deduped delta is APPENDED and reads resolve
+        # across files.
         if cfg.merge_mode == "cow":
             lake_files = current_files(lake_dir, affected)
             existing = [f for fs in lake_files.values() for f in fs]
             if existing:
+                exchange_bytes += sum(os.path.getsize(f) for f in existing)
                 # pass the evolved schema: a partition untouched since a
                 # schema change still has old-schema files, and a bare
                 # read would drop the new columns before conform ran
-                old = ray.data.read_parquet(
-                    existing, partitioning=None, schema=target
-                ).map_batches(
-                    _make_lake_side_stage(
-                        cfg, hot, target, group_schema.field("html").type
-                    ),
-                    batch_format="pyarrow",
+                sides.append(
+                    (
+                        ray.data.read_parquet(
+                            existing,
+                            partitioning=None,
+                            schema=target,
+                            meta_provider=_NO_FOOTER_PREFETCH,
+                        ),
+                        _make_lake_side_stage(
+                            cfg, hot, target, group_schema.field("html").type
+                        ),
+                    )
                 )
-                ds = ds.union(old)
 
-        merged = ds.groupby("gkey").map_groups(
+        t_pipe = time.time()
+        # one tiny manifest row per merge group, plus per-operator wall
+        # times for metrics.json (observability parity with the
+        # reference's process log, ``etl/__init__.py:247-304``)
+        rows, exchange_secs = _merge_exchange(
+            sides,
             _make_merge_fn(
                 lake_dir,
                 commit_epoch,
                 drop_tombstones_before_us=late_cutoff,
                 keep_html="html" in target.names,
             ),
-            batch_format="pyarrow",
+            cfg.salt_factor,
+            _exchange_width(cpus, exchange_bytes, P * cfg.salt_factor),
         )
-        t_pipe = time.time()
-        rows = merged.take_all()  # one tiny manifest row per merge group
         t_pipe = time.time() - t_pipe
-        # per-stage wall times from Ray's executor stats → metrics.json
-        # (observability parity with the reference's process log,
-        # ``etl/__init__.py:247-304``)
-        stage_secs: dict[str, float] = {}
-        try:
-            import re as _re
-
-            for mm in _re.finditer(
-                r"Operator \d+ ([^:\n]+):[^\n]*?in ([\d.]+)s", merged.stats()
-            ):
-                stage_secs[mm.group(1).strip()[:60]] = float(mm.group(2))
-        except Exception:
-            pass
+        for name, secs in exchange_secs.items():
+            stage_secs[name] = stage_secs.get(name, 0.0) + secs
 
         # -- phase 2: commit (driver-side, O(touched partitions)) --
         by_pkey: dict[int, list[dict]] = {}
@@ -1233,7 +1363,7 @@ def _run_ingest(
                         "live_rows": stats["live_rows"],
                         # feeds the global record's event-time watermark
                         "max_warc_ts_us": max(ts_maxes) if ts_maxes else None,
-                        "config_hash": cfg.hash(),
+                        "config_hash": config_hash,
                     },
                 )
             return pkey_events
@@ -1480,11 +1610,15 @@ def read_lake(
             need += ["warc_ts"]
         read_cols = [c for c in dict.fromkeys(need) if schema.get_field_index(c) >= 0]
         sub_schema = pa.schema([schema.field(c) for c in read_cols])
-        ds = ray.data.read_parquet(files, columns=read_cols, schema=sub_schema)
+        ds = ray.data.read_parquet(
+            files, columns=read_cols, schema=sub_schema, meta_provider=_NO_FOOTER_PREFETCH
+        )
     else:
         # full-width read: `partitioning=None` (no columns=) avoids both
         # the hive `part` column and the Ray 2.49 combination bug
-        ds = ray.data.read_parquet(files, partitioning=None, schema=schema)
+        ds = ray.data.read_parquet(
+            files, partitioning=None, schema=schema, meta_provider=_NO_FOOTER_PREFETCH
+        )
     if needs_resolve:
         ds = ds.groupby(PKEY_COLUMN).map_groups(_resolve_lww, batch_format="pyarrow")
     if lo_us is not None or hi_us is not None:
@@ -1875,9 +2009,12 @@ def _compact_locked(
     if cfg.allowed_lateness_us is not None:
         w = event_time_watermark(lake_dir)
         gc_cutoff = w - cfg.allowed_lateness_us if w is not None else None
-    ds = ray.data.read_parquet(files, partitioning=None, schema=target)
-    ds = ds.map_batches(_make_lake_side_stage(cfg, set(), target), batch_format="pyarrow")
-    merged = ds.groupby("gkey").map_groups(
+    ds = ray.data.read_parquet(
+        files, partitioning=None, schema=target, meta_provider=_NO_FOOTER_PREFETCH
+    )
+    P, S = cfg.num_partitions, cfg.salt_factor
+    rows, _ = _merge_exchange(
+        [(ds, _make_lake_side_stage(cfg, set(), target))],
         _make_merge_fn(
             lake_dir,
             epoch,
@@ -1886,9 +2023,13 @@ def _compact_locked(
             cluster_rows=cluster_rows,
             transform=transform,
         ),
-        batch_format="pyarrow",
+        S,
+        _exchange_width(
+            int(ray.cluster_resources().get("CPU", 8)),
+            sum(os.path.getsize(f) for f in files),
+            P * S,
+        ),
     )
-    rows = merged.take_all()
     by_pkey: dict[int, list[dict]] = {}
     for r in rows:
         by_pkey.setdefault(int(r["pkey"]), []).append(r)
@@ -1969,7 +2110,7 @@ def transform_lake(
     files, the two-phase manifest REPLACE at the current epoch flips
     each partition atomically, and a crash mid-way leaves old manifests
     pointing at old files (re-run to finish — fn determinism makes the
-    retry converge). One wide shuffle (the same gkey groupby as
+    retry converge). One wide exchange (the same gkey merge exchange as
     ingest/compaction); lineage records carry ``kind="transform"`` and apply
     no events, so the epoch-accounting consistency checks stay exact.
 

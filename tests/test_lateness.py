@@ -193,6 +193,36 @@ def test_tombstone_gc_and_resurrection_guard(tmp_path, mode):
     assert set(gold["url"]) == {b, c}
 
 
+@pytest.mark.parametrize("mode", ["cow", "mor"])
+def test_group_with_emptied_first_block_matches_oracle(tmp_path, mode):
+    """A commit group whose first read block loses every row to the
+    lateness cutoff. Group {2, 3}: segment 2 holds only events older than
+    W - L, so its read task hands the merge exchange an empty block
+    ahead of segment 3's rows (and, under cow, the lake side's)."""
+    ev = str(tmp_path / "events")
+    urls = [f"https://h{i}.example.com/p" for i in range(12)]
+    _seg(ev, 0, [(u, "I", T0 + i, i, f"a{i}") for i, u in enumerate(urls)])
+    _seg(ev, 1, [(u, "U", T0 + 10 * HOUR_US + i, 20 + i, f"b{i}")
+                 for i, u in enumerate(urls[:6])])
+    _seg(ev, 2, [(u, "U", T0 + 1000 + i, 40 + i, f"late{i}") for i, u in enumerate(urls)])
+    _seg(ev, 3, [(u, "D" if i % 3 == 0 else "U", T0 + 11 * HOUR_US + i, 60 + i,
+                  None if i % 3 == 0 else f"c{i}") for i, u in enumerate(urls[::2])])
+    lake = str(tmp_path / "lake")
+    cfg = EngineConfig(
+        lake_dir=lake,
+        num_partitions=4,
+        merge_mode=mode,
+        epochs_per_commit=2,
+        allowed_lateness_us=HOUR_US,
+    )
+    rep = run_ingest(cfg, ev)
+    assert [c["epoch"] for c in rep["commits"]] == [1, 3]
+    assert rep["validation"]["late_events"] == len(urls)
+    gold = replay_oracle(ev, allowed_lateness_us=HOUR_US, epochs_per_commit=2)
+    _assert_matches(lake, gold)
+    assert not any(t.startswith("late") for t in read_lake(lake).to_pandas()["text"])
+
+
 def test_lateness_crash_resume_deterministic(tmp_path):
     """Admission decisions are anchored at the global epoch records: a
     crash after one partition commit must not let the resumed attempt see

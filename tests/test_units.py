@@ -211,6 +211,101 @@ class TestCrossProcessDeterminism:
         assert out == [hashlib.sha256(x.encode()).hexdigest() for x in here]
 
 
+class TestMergeExchange:
+    """The merge exchange's map side (``_bucket_sort``) and reduce side
+    (``_bucket_groups``), without Ray: every row must land in exactly one
+    bucket, inside its whole gkey group."""
+
+    @staticmethod
+    def _block(gkeys, first_row):
+        n = len(gkeys)
+        return pa.table(
+            {
+                "row": pa.array(range(first_row, first_row + n), pa.int64()),
+                "html": pa.array([b"x" * (i % 5) for i in range(n)], pa.binary()),
+                "gkey": pa.array(gkeys, pa.int64()),
+            }
+        )
+
+    @staticmethod
+    def _exchange(blocks, S, R):
+        from gene_etl_ray.pipelines.ingest import _bucket_groups, _bucket_sort
+
+        staged = [_bucket_sort(b, S, R) if b.num_rows else b for b in blocks]
+        return {r: _bucket_groups(staged, r, S, R) for r in range(R)}
+
+    def _check(self, blocks, S, R):
+        from gene_etl_ray.pipelines.ingest import _bucket_of
+
+        out = self._exchange(blocks, S, R)
+        want: dict[int, set[int]] = {}
+        for b in blocks:
+            for g, row in zip(b.column("gkey").to_pylist(), b.column("row").to_pylist()):
+                want.setdefault(g, set()).add(row)
+        seen: dict[int, list[int]] = {}
+        for r, groups in out.items():
+            keys = [g.column("gkey")[0].as_py() for g in groups]
+            assert keys == sorted(set(keys))  # one group per gkey, in order
+            for g, k in zip(groups, keys):
+                assert set(g.column("gkey").to_pylist()) == {k}
+                assert int(_bucket_of(np.array([k]), S, R)[0]) == r
+                assert g.schema == blocks[0].schema
+                seen[k] = g.column("row").to_pylist()
+        assert seen.keys() == want.keys()
+        for k, rows in seen.items():
+            assert len(rows) == len(set(rows)) and set(rows) == want[k]
+        return out
+
+    def test_empty_piece_and_empty_bucket(self):
+        blocks = [self._block([], 0), self._block([0, 4, 0, 8], 10), self._block([], 20)]
+        out = self._check(blocks, S=4, R=8)
+        assert sum(len(g) for g in out.values()) == 3
+        assert self._exchange([self._block([], 0)], 4, 2) == {0: [], 1: []}
+
+    def test_all_rows_in_one_bucket(self):
+        # S=1: bucket = gkey % 3 — every key below is 1 mod 3
+        blocks = [self._block([1, 4, 7, 1, 4], 0), self._block([7, 7, 1], 100)]
+        out = self._check(blocks, S=1, R=3)
+        assert out[0] == [] and out[2] == [] and len(out[1]) == 3
+
+    def test_chunked_and_unsorted_runs(self):
+        from gene_etl_ray.pipelines.ingest import _bucket_groups, _bucket_sort
+
+        # a block Ray concatenated from two separately sorted batches, in
+        # several chunks: runs are found by key change, not by sortedness
+        a = _bucket_sort(self._block([5, 2, 9, 2, 5], 0), 1, 2)
+        b = _bucket_sort(self._block([2, 9, 9, 5], 50), 1, 2)
+        block = pa.concat_tables([a.slice(0, 2), a.slice(2), b])
+        assert block.column("gkey").num_chunks == 3
+        groups = {r: _bucket_groups([block], r, 1, 2) for r in range(2)}
+        got = {g.column("gkey")[0].as_py(): sorted(g.column("row").to_pylist())
+               for gs in groups.values() for g in gs}
+        assert got == {2: [1, 3, 50], 5: [0, 4, 53], 9: [2, 51, 52]}
+        self._check([self._block([5, 2, 9], 700), block], S=1, R=2)
+
+    def test_one_gkey_over_many_blocks(self):
+        rng = np.random.default_rng(7)
+        blocks = [self._block(rng.integers(0, 6, 40).tolist(), 1000 * i) for i in range(5)]
+        blocks.append(self._block([3] * 7, 9000))
+        out = self._check(blocks, S=2, R=3)
+        (g3,) = [g for gs in out.values() for g in gs if g.column("gkey")[0].as_py() == 3]
+        assert g3.num_rows == 7 + sum(b.column("gkey").to_pylist().count(3) for b in blocks[:5])
+
+    def test_salted_gkeys_spread_over_buckets(self):
+        from gene_etl_ray.pipelines.ingest import _bucket_of
+
+        S, R = 4, 4
+        # partition 3 is hot (four salted sub-groups), 0-2 and 4-7 are not
+        hot = [3 * S + salt for salt in range(S)]
+        cold = [p * S for p in (0, 1, 2, 4, 5, 6, 7)]
+        blocks = [self._block(hot * 3 + cold, 0), self._block(cold + hot, 500)]
+        out = self._check(blocks, S, R)
+        assert sorted(int(_bucket_of(np.array([g]), S, R)[0]) for g in hot) == [0, 1, 2, 3]
+        # unsalted keys are multiples of S; a bare gkey % R would put all
+        # of them in bucket 0
+        assert all(out[r] for r in range(R))
+
+
 class TestLateMergeExtraction:
     """The merge exchange's fused late extraction, called directly on a
     hand-built group (one partition, one merge key)."""
