@@ -87,10 +87,6 @@ def run_headline() -> dict:
             lake_dir=lake_a,
             num_partitions=64,
             epochs_per_commit=8,
-            # salting stays dormant here: measured A/B at this scale showed
-            # the salt path 10-20% slower (extra per-batch hashing; merge is
-            # a minor stage at +79% partition skew) — see BASELINE.md skew note
-            prevalidate=False,  # fresh-lake benchmarked ingest (see EngineConfig)
         )
         t0 = time.time()
         rep = run_ingest(cfg, ev_dir)

@@ -30,24 +30,20 @@ class EngineConfig:
         Salting derives from the url hash, never random, so a given url
         always lands in the same sub-bucket and LWW groups stay per-url.
     hot_partition_threshold: events-per-partition-per-commit above which a
-        partition's merge is split into ``salt_factor`` sub-groups.
+        partition's merge is split into ``salt_factor`` sub-groups. The
+        merge tasks decide it from the counts the exchange's read tasks
+        compute, so salting needs no pass of its own.
     epochs_per_commit: how many input epochs are folded into one commit
         (the commit cadence; reference analog ``checkpoint_interval``,
         ``config.py:92``).
     keep_html: if False (default) the ``html`` payload column is dropped
         from the lake table after extraction (the lake stores ``text``).
-    prevalidate: run the pre-validation/partition-counts pass before each
-        commit (parity with the reference's pre-validation phase). May be
-        disabled for benchmarked fresh-lake ingests; the pass runs anyway
-        when a cow lake already has committed partitions (it prunes the
-        lake-side read). The counts pass is also what arms hot-partition
-        salting: without it (``prevalidate=False`` on a fresh or mor lake)
-        no partition is salted, and applied counts come from the merge
-        groups' pre-dedup sizes.
-    late_extract: accepted and ignored, so configs that set it still
-        load; an init-only argument, not a field, so not part of
-        ``hash()``. html→text extraction always runs on the LWW winners
-        only, inside the merge exchange.
+    prevalidate, late_extract: accepted and ignored, so configs that set
+        them still load; init-only arguments, not fields, so not part of
+        ``hash()``. Every commit group computes its pre-validation totals
+        and per-partition counts in the merge exchange's read tasks, and
+        html→text extraction runs on the LWW winners only, inside the
+        merge.
     drop_tombstones_on_read: live-view reads filter deleted urls; the
         stored partitions always retain tombstones so late out-of-order
         events with older versions cannot resurrect a deleted url.
@@ -60,7 +56,6 @@ class EngineConfig:
     epochs_per_commit: int = 1
     keep_html: bool = False
     drop_tombstones_on_read: bool = True
-    prevalidate: bool = True
     # sink strategy: "cow" (copy-on-write — each commit rewrites touched
     # partitions; reads are plain scans) or "mor" (merge-on-read — each
     # commit APPENDS a per-partition LWW-deduped delta file; reads resolve
@@ -127,8 +122,9 @@ class EngineConfig:
     allowed_lateness_us: int | None = None
     extra: dict = field(default_factory=dict)
     late_extract: InitVar[bool] = False
+    prevalidate: InitVar[bool] = True
 
-    def __post_init__(self, late_extract: bool) -> None:
+    def __post_init__(self, late_extract: bool, prevalidate: bool) -> None:
         if self.merge_mode not in ("cow", "mor"):
             raise ValueError("merge_mode must be 'cow' or 'mor'")
         if self.audit_max_delete_frac is not None and not (

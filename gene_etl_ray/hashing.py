@@ -30,32 +30,21 @@ def partition_keys(urls, num_partitions: int) -> np.ndarray:
     return (hash_urls(urls) % np.uint64(num_partitions)).astype(np.int32)
 
 
-def salt_keys(urls, salt_factor: int) -> np.ndarray:
-    """int32 salt sub-bucket per url, independent of the partition bits.
-
-    Uses the high 32 bits of the url hash so it is decorrelated from
-    ``H(url) % P`` (which consumes the low bits).
-    """
-    h = hash_urls(urls)
-    return ((h >> np.uint64(32)) % np.uint64(salt_factor)).astype(np.int32)
-
-
 def group_keys(
-    urls, num_partitions: int, salt_factor: int, hot_partitions: set[int] | None
+    urls, num_partitions: int, salt_factor: int, hot_partitions=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(pkey, gkey)`` — physical partition id and shuffle group key.
+    """Return ``(pkey, gkey)`` — physical partition id and salted group key.
 
-    ``gkey = pkey * S + salt`` for hot partitions (their merge fans out over
-    ``S`` parallel sub-groups), ``pkey * S`` otherwise. Output files always
-    land under ``part=<pkey>``; salting only affects shuffle-group sizing.
-    The url hash is computed ONCE and both keys derived from it.
+    ``gkey = pkey * S + salt`` for every url. Which partitions merge as
+    ``S`` parallel sub-groups (hot) and which as one (cold) is decided
+    after the exchange's map side, from the commit group's counts, so
+    the keys never depend on it; ``hot_partitions`` is accepted and
+    ignored. Output files always land under ``part=<pkey>``. The url
+    hash is computed ONCE and both keys derived from it; the salt takes
+    the hash's high 32 bits, decorrelated from ``H(url) % P`` (which
+    consumes the low bits).
     """
     h = hash_urls(urls)
     pk = (h % np.uint64(num_partitions)).astype(np.int32)
-    gk = pk.astype(np.int64) * salt_factor
-    if hot_partitions and salt_factor > 1:
-        hot = np.isin(pk, list(hot_partitions))
-        if hot.any():
-            salts = ((h >> np.uint64(32)) % np.uint64(salt_factor)).astype(np.int32)
-            gk = gk + np.where(hot, salts, 0)
-    return pk, gk
+    salts = (h >> np.uint64(32)) % np.uint64(salt_factor)
+    return pk, pk.astype(np.int64) * salt_factor + salts.astype(np.int64)

@@ -5,20 +5,20 @@ Ray-Data-native restatement of the reference's seven-phase batch lifecycle
 post-validate → persist → finalize), per SURVEY §3.4:
 
   read row groups of the uncommitted epoch files  # ONE task per ~128 MiB
-  → normalize/pre-validate                        #   read unit: read,
-  → add pkey/gkey + watermark filter              #   prep and the
-  → to lake rows + raw html side column           #   exchange's map side
-  → order the block by (bucket, gkey)
-  → [cow: + existing lake partitions, conformed to evolved schema]
-  → one merge task per bucket: LWW merge         # the ONLY wide exchange
-       + html→text on the winners + write, once per gkey group
+  → pre-validation totals + normalize             #   read unit: read,
+  → add pkey/salted gkey + watermark filter       #   counts, prep and
+  → to lake rows + raw html side column           #   the exchange's map
+  → order the block by gkey; attach its counts    #   side
+  → one merge task per bucket: sum the counts,   # the ONLY wide exchange
+       salt only hot partitions, [cow: + the partition's stored rows],
+       LWW merge + html→text on the winners + write, once per group
   → two-phase manifest commit + checkpoints + lineage (driver, tiny)
 
 The merge exchange (``_merge_exchange``) is built from stateless tasks on
 the shared worker pool, on the model of Exoshuffle: no actor and no sort
 of the group. Each read task leaves its block in the object store ordered by
-(bucket, gkey); merge task r then takes bucket r's zero-copy runs of every
-block and merges them one gkey group at a time. Sinks: copy-on-write
+gkey; merge task r then takes bucket r's zero-copy runs of every block
+and merges them one group at a time. Sinks: copy-on-write
 (rewrite touched partitions) or merge-on-read (append LWW-deduped
 deltas + read-side resolution + ``compact``). Torn/corrupt WAL segments
 are quarantined with later epochs held back; a single-writer lock
@@ -37,8 +37,11 @@ Scale properties (designed for 10^10 events / multi-node):
   exactly one exchange;
 - hot partitions (domain skew) split into ``salt_factor`` url-deterministic
   sub-groups so no single merge task serializes a hot domain;
-- per-partition counts are computed by per-batch partial aggregation over a
-  column-pruned envelope read (no exchange, html never leaves storage);
+- a commit group reads its WAL files once: each read task computes its
+  unit's per-partition counts and pre-validation totals over the rows it
+  already holds and attaches them to its block as schema metadata; every
+  merge task sums them (hot set), and so does the driver (lineage
+  counts, validation report), from the merge tasks' output blocks;
 - merge tasks write their own partition files — bulk data never visits the
   driver; the driver only sees one manifest row per merge group;
 - commits are O(touched partitions); resume replays only epochs above each
@@ -48,6 +51,7 @@ Scale properties (designed for 10^10 events / multi-node):
 
 from __future__ import annotations
 
+import functools
 import glob
 import hashlib
 import json
@@ -55,6 +59,8 @@ import logging
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait as futures_wait
 
 import numpy as np
 import pyarrow as pa
@@ -106,10 +112,6 @@ MANIFEST_ROW_SCHEMA = pa.schema(
         ("rows", pa.int64()),
         ("live_rows", pa.int64()),
         ("max_seq", pa.int64()),
-        # delta events entering the group pre-dedup — the exact applied
-        # count on the no-counts (fresh-lake / mor-resume) path, where the
-        # group contains only watermark-surviving delta rows
-        ("events_in", pa.int64()),
         # zone map: the file's winning-version warc_ts range (µs since
         # epoch) — recorded in the manifest so time-range reads prune
         # files with ZERO file IO (no footer reads at 10^10 scale)
@@ -346,7 +348,11 @@ class _CrashHook:
                 self.left -= 1
 
 
-def discover_epochs(events_dir: str, quarantine: list[str] | None = None) -> dict[int, str]:
+def discover_epochs(
+    events_dir: str,
+    quarantine: list[str] | None = None,
+    footers: dict[str, pq.FileMetaData] | None = None,
+) -> dict[int, str]:
     """Enumerate WAL segments, validating each parquet footer. A torn or
     corrupt segment (e.g. a writer died mid-upload) is QUARANTINED —
     skipped and reported — rather than crashing the tail loop; epochs
@@ -354,14 +360,17 @@ def discover_epochs(events_dir: str, quarantine: list[str] | None = None) -> dic
     (a gap would otherwise advance the watermark past the missing data).
     Numbering gaps are treated the same way (missing ⇒ hold back later
     epochs); WAL cleanup must therefore truncate PREFIXES only — deleting
-    a mid-range segment would stall the tail loop by design."""
+    a mid-range segment would stall the tail loop by design. The footers
+    read on the way land in ``footers`` (path → metadata) when given."""
     files = glob.glob(os.path.join(events_dir, "epoch=*.parquet"))
     out: dict[int, str] = {}
     bad: list[int] = []
     for f in sorted(files):
         e = int(os.path.basename(f)[6:-8])
         try:
-            pq.read_metadata(f)
+            md = pq.read_metadata(f)
+            if footers is not None:
+                footers[f] = md
             out[e] = f
         except Exception:
             bad.append(e)
@@ -478,68 +487,53 @@ def _schema_from_hex(h: str) -> pa.Schema:
 def _clean_stale_tmp(lake_dir: str) -> None:
     """Temp files from a crashed run are invisible to readers (never
     manifested); remove them so they don't accumulate."""
-    for pat in (".tmp-*.parquet", ".tmp-*.parquet.bloom"):
-        for p in glob.glob(os.path.join(lake_dir, "part=*", pat)):
-            try:
-                os.remove(p)
-            except OSError:
-                pass
+    # data files and their .bloom sidecars
+    for p in glob.glob(os.path.join(lake_dir, "part=*", ".tmp-*.parquet*")):
+        try:
+            os.remove(p)
+        except OSError:
+            pass
+
+
+#: schema-metadata key of a staged block's partials: JSON of read unit id
+#: -> that unit's per-partition counts and pre-validation totals
+PARTIALS_KEY = b"gene_etl.partials"
+
+VALIDATION_KEYS = (
+    "events", "null_url", "invalid_op", "null_warc_ts", "duplicate_seq", "late_events",
+)
+
+
+def _with_partials(t: pa.Table, partials: dict) -> pa.Table:
+    return t.replace_schema_metadata({PARTIALS_KEY: json.dumps(partials)})
 
 
 def _partition_counts(
-    files: list[str],
-    cfg: EngineConfig,
-    wm_arr: np.ndarray | None = None,
-    late_cutoff_us: int | None = None,
-) -> tuple[dict[int, int], dict, dict[str, float]]:
-    """Per-partition TO-APPLY event counts + pre-validation totals (+ the
-    pass's per-operator wall times), via
-    per-batch partial aggregation over a column-pruned envelope read (no
-    html, no shuffle). Counts mirror the main pipeline's watermark filter
-    (events at/below a partition's committed epoch are excluded) so
-    ``events_applied`` and lineage event_counts are exact on resume.
-    Validation totals cover every row read (pre-validation parity,
-    ``validate.py:33-85``)."""
-    env = ray.data.read_parquet(files, columns=["url", "op", "warc_ts", "seq", "epoch"])
-    P = cfg.num_partitions
-
-    def partials(batch: pa.Table) -> pa.Table:
-        v = prevalidate_counts(batch)
-        nb = normalize_batch(batch)
-        if late_cutoff_us is not None:
-            kept = normalize_batch(nb, late_cutoff_us)
-            v["late_events"] = nb.num_rows - kept.num_rows
-            nb = kept
-        else:
-            v["late_events"] = 0
-        pk, _ = group_keys(nb.column("url").to_numpy(zero_copy_only=False), P, 1, None)
-        if wm_arr is not None:
-            ep = nb.column("epoch").to_numpy(zero_copy_only=False)
-            pk = pk[ep > wm_arr[pk]]
-        cnt = np.bincount(pk, minlength=P).astype(np.int64)
-        return pa.table(
-            {
-                "pkey_counts": pa.array([cnt.tolist()], pa.list_(pa.int64())),
-                **{k: pa.array([v[k]], pa.int64()) for k in v},
-            }
-        )
-
-    env = env.map_batches(partials, batch_format="pyarrow")
-    parts = env.take_all()
-    total = np.zeros(P, dtype=np.int64)
-    val = {
-        "events": 0,
-        "null_url": 0,
-        "invalid_op": 0,
-        "null_warc_ts": 0,
-        "duplicate_seq": 0,
-        "late_events": 0,
-    }
-    for r in parts:
-        total += np.asarray(r["pkey_counts"], dtype=np.int64)
+    tables: list[pa.Table], hot_threshold: int
+) -> tuple[dict[int, int], dict[str, int], set[int]]:
+    """Per-partition TO-APPLY event counts, pre-validation totals and hot
+    partitions (count > ``hot_threshold``) of a commit group, summed from
+    the partials on ``tables``' schema metadata, each read unit once: Ray
+    may split a staged block, and every slice keeps the metadata. Every
+    merge task runs it over the staged blocks, so all derive the same hot
+    set; the driver runs it over the merge tasks' output blocks, which
+    carry the sum. Counts mirror the watermark filter (events at/below a
+    partition's committed epoch are excluded), so ``events_applied`` and
+    lineage event_counts are exact on resume; validation totals cover
+    every row read (pre-validation parity, ``validate.py:33-85``)."""
+    units: dict[str, dict] = {}
+    for t in tables:
+        md = t.schema.metadata
+        if md and PARTIALS_KEY in md:
+            units.update(json.loads(md[PARTIALS_KEY]))
+    counts: dict[int, int] = {}
+    val = dict.fromkeys(VALIDATION_KEYS, 0)
+    for p in units.values():
+        for k, c in p["counts"].items():
+            counts[int(k)] = counts.get(int(k), 0) + c
         for k in val:
-            val[k] += int(r[k])
-    return {k: int(c) for k, c in enumerate(total) if c > 0}, val, _op_secs(env)
+            val[k] += p[k]
+    return counts, val, {k for k, c in counts.items() if c > hot_threshold}
 
 
 #: decoded bytes of row groups one read task takes on (one block)
@@ -605,16 +599,16 @@ class _NoFooterPrefetch(ray.data.datasource.ParquetMetadataProvider):
 _NO_FOOTER_PREFETCH = _NoFooterPrefetch()
 
 
-def _make_key_stage(cfg: EngineConfig, hot: set[int], watermarks: np.ndarray, commit_epoch: int):
-    """map_batches fn: append pkey/gkey and drop events already committed
-    for their partition (resume skip). ``watermarks`` is a tiny np array
-    (one int per partition) captured in the closure — the broadcast-small-
-    side pattern, reference analog of the dim-table lookup (``io.py:92``)."""
-    P, S = cfg.num_partitions, cfg.salt_factor
+def _make_key_stage(P: int, S: int, watermarks: np.ndarray):
+    """Key stage of ``_stage_events``: append pkey and salted gkey and
+    drop events already committed for their partition (resume skip).
+    ``watermarks`` is a tiny np array (one int per partition) captured in
+    the closure — the broadcast-small-side pattern, reference analog of
+    the dim-table lookup (``io.py:92``)."""
 
     def fn(batch: pa.Table) -> pa.Table:
         urls = batch.column("url").to_numpy(zero_copy_only=False)
-        pk, gk = group_keys(urls, P, S, hot)
+        pk, gk = group_keys(urls, P, S)
         batch = batch.append_column(PKEY_COLUMN, pa.array(pk, pa.int32()))
         batch = batch.append_column("gkey", pa.array(gk, pa.int64()))
         ep = batch.column("epoch").to_numpy(zero_copy_only=False)
@@ -648,27 +642,42 @@ def _events_to_lake(batch: pa.Table, target: pa.Schema) -> pa.Table:
     return out.append_column("gkey", gkey)
 
 
-def _events_to_shuffle(
-    batch: pa.Table, late_cutoff: int | None, key_stage, target: pa.Schema
+def _stage_events(
+    unit_id: int,
+    unit: list[tuple[str, int]],
+    schema: pa.Schema,
+    late_cutoff: int | None,
+    key_stage,
+    target: pa.Schema,
+    P: int,
 ) -> pa.Table:
-    """The whole pre-exchange event stage: normalize → key stage →
-    to-lake, in one function so an emptied batch keeps its schema (Ray
-    does not call a later fused ``map_batches`` on an empty batch, and
-    passes it on without that stage's columns)."""
-    return _events_to_lake(key_stage(normalize_batch(batch, late_cutoff)), target)
+    """One event-side read task of the merge exchange, the only reader of
+    the unit's WAL rows: read → pre-validation totals → normalize (+ the
+    lateness cutoff) → key stage → to-lake → order by gkey, with the
+    unit's partials (``_partition_counts``) on the block's schema
+    metadata. A unit the filters empty still yields a block with the full
+    schema and its partials."""
+    raw = _read_row_groups(unit, schema)
+    partials = prevalidate_counts(raw)
+    nb = normalize_batch(raw)
+    kept = normalize_batch(nb, late_cutoff) if late_cutoff is not None else nb
+    partials["late_events"] = nb.num_rows - kept.num_rows
+    out = _events_to_lake(key_stage(kept), target)
+    cnt = np.bincount(out.column(PKEY_COLUMN).to_numpy(), minlength=P)
+    partials["counts"] = {int(k): int(cnt[k]) for k in np.flatnonzero(cnt)}
+    return _with_partials(_bucket_sort(out), {str(unit_id): partials})
 
 
 def _make_lake_side_stage(
     cfg: EngineConfig,
-    hot: set[int],
     target: pa.Schema,
     html_type: pa.DataType | None = None,
 ):
-    """map_batches fn for existing lake rows entering the merge: conform
-    to ``target`` and add gkey. Ingest passes the event side's
-    ``html_type`` to get ``HTML_SIDE_COLUMN`` as well (null unless the
-    lake stores html: stored rows are already extracted); compaction
-    passes none and its merge extracts nothing."""
+    """Existing lake rows entering the merge: conform to ``target`` and
+    add the salted gkey. Ingest passes the event side's ``html_type`` to
+    get ``HTML_SIDE_COLUMN`` as well (null unless the lake stores html:
+    stored rows are already extracted); compaction passes none and its
+    merge extracts nothing."""
     P, S = cfg.num_partitions, cfg.salt_factor
 
     def fn(batch: pa.Table) -> pa.Table:
@@ -676,7 +685,7 @@ def _make_lake_side_stage(
         if html_type is not None:
             out = _with_html_side(out, pa.nulls(batch.num_rows, html_type))
         urls = batch.column("url").to_numpy(zero_copy_only=False)
-        _, gk = group_keys(urls, P, S, hot)
+        _, gk = group_keys(urls, P, S)
         return out.append_column("gkey", pa.array(gk, pa.int64()))
 
     return fn
@@ -744,6 +753,8 @@ def _make_merge_fn(
     cluster_rows: int | None = None,
     transform=None,
     keep_html: bool = False,
+    lake_files: dict[int, list[str]] | None = None,
+    lake_stage=None,
 ):
     """Per-group LWW merge + partition-file write (phase 1 of the commit).
 
@@ -770,14 +781,31 @@ def _make_merge_fn(
     with ``keep_html``, renamed back to the lake's ``html`` column. LWW
     orders by (url, warc_ts, seq) only, never by text, so extracting
     after the dedup yields exactly the extract-everything result.
+
+    The merge exchange passes each group's partition ``pkey`` and the
+    ``gkey`` that names its file; a bare call keys the group by its first
+    row. Copy-on-write ingest passes the manifest snapshot ``lake_files``
+    (pkey → current files) and ``lake_stage`` (``_make_lake_side_stage``):
+    the merge reads the group's partition whole and adds its rows, only
+    those of the group's salt when the partition is ``salted``.
     """
     extract = per_process_extractor()
 
-    def merge(group: pa.Table) -> pa.Table:
+    def merge(
+        group: pa.Table, pkey: int | None = None, gkey: int | None = None, salted: bool = False
+    ) -> pa.Table:
+        if pkey is None and group.num_rows:
+            pkey = group.column(PKEY_COLUMN)[0].as_py()
+            gkey = group.column("gkey")[0].as_py()
+        if lake_files and lake_files.get(pkey):
+            stored = pa.concat_tables(
+                [lake_stage(pq.ParquetFile(f).read()) for f in lake_files[pkey]]
+            )
+            if salted:
+                stored = stored.filter(pc.equal(stored.column("gkey"), gkey))
+            group = pa.concat_tables([group, stored])
         if group.num_rows == 0:
             return MANIFEST_ROW_SCHEMA.empty_table()
-        pkey = group.column(PKEY_COLUMN)[0].as_py()
-        gkey = group.column("gkey")[0].as_py()
         t = group.drop_columns(["gkey"]).combine_chunks()
         t = t.sort_by([("url", "ascending"), ("warc_ts", "ascending"), ("seq", "ascending")])
         n = t.num_rows
@@ -884,24 +912,11 @@ def _make_merge_fn(
                     "rows": s.num_rows,
                     "live_rows": live,
                     "max_seq": pc.max(s.column("seq")).as_py(),
-                    "events_in": n if j == 0 else 0,
                     "ts_min_us": pc.min(ts).as_py(),
                     "ts_max_us": pc.max(ts).as_py(),
                 }
             )
-        return pa.table(
-            {
-                "pkey": pa.array([r["pkey"] for r in rows_out], pa.int32()),
-                "gkey": pa.array([r["gkey"] for r in rows_out], pa.int64()),
-                "path": pa.array([r["path"] for r in rows_out], pa.string()),
-                "rows": pa.array([r["rows"] for r in rows_out], pa.int64()),
-                "live_rows": pa.array([r["live_rows"] for r in rows_out], pa.int64()),
-                "max_seq": pa.array([r["max_seq"] for r in rows_out], pa.int64()),
-                "events_in": pa.array([r["events_in"] for r in rows_out], pa.int64()),
-                "ts_min_us": pa.array([r["ts_min_us"] for r in rows_out], pa.int64()),
-                "ts_max_us": pa.array([r["ts_max_us"] for r in rows_out], pa.int64()),
-            }
-        )
+        return pa.Table.from_pylist(rows_out, schema=MANIFEST_ROW_SCHEMA)
 
     return merge
 
@@ -920,41 +935,55 @@ def _exchange_width(cpus: int, nbytes: int, num_groups: int) -> int:
 
 def _bucket_of(gkey: np.ndarray, S: int, R: int) -> np.ndarray:
     """Exchange bucket of each merge group key ``gkey = pkey * S + salt``:
-    ``(pkey + salt) % R``. A bare ``gkey % R`` would send every unsalted
+    ``(pkey + salt) % R``. A bare ``gkey % R`` would send every cold
     group (``gkey = pkey * S``) to the buckets that are multiples of
     ``gcd(S, R)``; this spreads partitions round-robin and a hot
     partition's salted sub-groups over consecutive buckets."""
     return (gkey // S + gkey % S) % R
 
 
-def _bucket_sort(t: pa.Table, S: int, R: int) -> pa.Table:
-    """Map side of the merge exchange: order a block by (bucket, gkey)
-    with one stable argsort and one ``take``, so every gkey group of the
-    block is one contiguous run that ``_bucket_groups`` slices zero-copy.
-    (A ``take`` per bucket would rebuild the block R times.)"""
-    gk = t.column("gkey").to_numpy()
-    return t.take(np.lexsort((gk, _bucket_of(gk, S, R))))
+def _bucket_sort(t: pa.Table) -> pa.Table:
+    """Map side of the merge exchange: order a block by gkey with one
+    stable argsort and one ``take``, so every (salted) group key of the
+    block is one contiguous run and a partition's S sub-runs are
+    adjacent; ``_bucket_groups`` slices them zero-copy."""
+    return t.take(np.argsort(t.column("gkey").to_numpy(), kind="stable"))
 
 
-def _bucket_groups(blocks: list[pa.Table], r: int, S: int, R: int) -> list[pa.Table]:
-    """Reduce side of the merge exchange: every gkey group of bucket
-    ``r``, whole, in gkey order. Each group is the concatenation of its
-    runs in ``blocks`` — zero-copy slices, never a ``take`` across the
-    bucket (a bucket can pass the 2 GiB offset limit of an Arrow binary
-    array; one merge group is bounded by salting). Runs are found by key
-    change, so a block holding several sorted runs is still exact."""
+def _bucket_groups(
+    blocks: list[pa.Table], r: int, S: int, R: int, hot: set[int] = frozenset()
+) -> list[tuple[int, pa.Table]]:
+    """Reduce side of the merge exchange: ``(gkey, rows)`` of every merge
+    group of bucket ``r``, whole, in gkey order. A ``hot`` partition's
+    salted runs stay S groups; a cold partition's S adjacent sub-runs
+    form one group keyed ``pkey * S``, one slice per block. Each group is
+    the concatenation of its runs in ``blocks`` — zero-copy slices, never
+    a ``take`` across the bucket (a bucket can pass the 2 GiB offset
+    limit of an Arrow binary array; one merge group is bounded by
+    salting). Runs are found by key change, so a block holding several
+    sorted runs is still exact. A hot partition's salts without rows
+    still form (empty) groups: a copy-on-write merge rewrites each salt's
+    share of the partition. The groups carry no schema metadata."""
+    hot_keys = np.fromiter(hot, np.int64, len(hot))
     runs: dict[int, list[pa.Table]] = {}
     for t in blocks:
         if t.num_rows == 0:
             continue
         gk = t.column("gkey").to_numpy()
-        cuts = np.flatnonzero(np.diff(gk)) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [len(gk)]))
-        keys = gk[starts]
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(gk)) + 1))
+        pk = gk[starts] // S
+        keys = np.where(np.isin(pk, hot_keys), gk[starts], pk * S)
+        new = np.concatenate(([True], keys[1:] != keys[:-1]))
+        starts, keys = starts[new], keys[new]
+        ends = np.concatenate((starts[1:], [len(gk)]))
         for i in np.flatnonzero(_bucket_of(keys, S, R) == r):
             runs.setdefault(int(keys[i]), []).append(t.slice(starts[i], ends[i] - starts[i]))
-    return [pa.concat_tables(runs[g]) for g in sorted(runs)]
+    salted = (hot_keys[:, None] * S + np.arange(S)).ravel()
+    for g in salted[_bucket_of(salted, S, R) == r]:
+        runs.setdefault(int(g), [blocks[0].slice(0, 0)])
+    return [
+        (g, pa.concat_tables(runs[g]).replace_schema_metadata(None)) for g in sorted(runs)
+    ]
 
 
 def _op_secs(*datasets: "ray.data.Dataset") -> dict[str, float]:
@@ -971,46 +1000,108 @@ def _op_secs(*datasets: "ray.data.Dataset") -> dict[str, float]:
     return out
 
 
+class _TaskSource(ray.data.Datasource):
+    """A Dataset whose blocks are made by plain functions, one read task
+    each. One Dataset object, where ``range`` + ``map_batches`` build
+    two: building one costs the driver a round trip to Ray's stats actor
+    for its id."""
+
+    def __init__(self, name: str, fns: list):
+        self._name, self._fns = name, fns
+
+    def get_name(self) -> str:
+        return self._name
+
+    def estimate_inmemory_data_size(self) -> None:
+        return None
+
+    def get_read_tasks(self, parallelism: int) -> list:
+        from ray.data.block import BlockMetadata
+        from ray.data.datasource import ReadTask
+
+        meta = BlockMetadata(num_rows=None, size_bytes=None, input_files=None, exec_stats=None)
+        return [ReadTask(lambda f=f: [f()], meta) for f in self._fns]
+
+
+def _block_refs(ds: "ray.data.MaterializedDataset") -> list:
+    """The block refs of a materialized Dataset, read from its executed
+    plan: ``iter_internal_ref_bundles`` first re-runs the plan's
+    ``execute``, which queries the cluster's available resources (a
+    control-store round trip) before it finds the plan already done."""
+    return list(ds._plan._snapshot_bundle.block_refs)
+
+
+def _task_dataset(name: str, fns: list) -> "ray.data.Dataset":
+    return ray.data.read_datasource(_TaskSource(name, fns), override_num_blocks=len(fns))
+
+
 def _merge_exchange(
-    sides: list[tuple["ray.data.Dataset", object]], merge, S: int, R: int
-) -> tuple[list[dict], dict[str, float]]:
-    """The one wide exchange of a commit group: every row of one gkey
-    reaches one ``merge`` call, with no actor and no sort of the group.
+    staged: "ray.data.Dataset", merge, S: int, R: int, hot_threshold: int
+) -> tuple[list[pa.Table], dict[str, float]]:
+    """The one wide exchange of a commit group: every row of one merge
+    group reaches one ``merge`` call, with no actor and no sort of the
+    group.
 
-    1. Each side is a read Dataset and the prep function of its blocks;
-       prep and the map side (``_bucket_sort``) run fused into the read
-       tasks, as one Dataset execution whose blocks stay in the object
-       store.
-    2. One merge task per bucket reads bucket r's runs of every block —
-       zero-copy views of shared memory — and calls ``merge`` once per
-       gkey group. The blocks are sealed before any merge task starts,
-       so its ``ray.get`` never waits (a task blocked in ``ray.get``
-       releases its CPU, and Ray may start another worker process on
-       it).
+    1. ``staged`` yields blocks ordered by gkey (``_bucket_sort``), read,
+       prepped and sorted in its read tasks; it runs as one Dataset
+       execution whose blocks stay in the object store.
+    2. One merge task per bucket reads every block — zero-copy views of
+       shared memory — sums the blocks' partials (``_partition_counts``:
+       every task derives the same hot set) and calls ``merge`` once per
+       group of bucket r. The blocks are sealed before any merge task
+       starts, so its ``ray.get`` never waits (a task blocked in
+       ``ray.get`` releases its CPU, and Ray may start another worker
+       process on it).
 
-    Returns the merge's manifest rows and the per-operator wall times of
-    both executions."""
-    staged = None
-    for ds, prep in sides:
-
-        def prep_and_sort(b: pa.Table, _prep=prep) -> pa.Table:
-            return _bucket_sort(_prep(b), S, R)
-
-        side = ds.map_batches(prep_and_sort, batch_size=None, batch_format="pyarrow")
-        staged = side if staged is None else staged.union(side)
+    Returns the merge tasks' output blocks — manifest rows, with the
+    summed partials on their schema metadata — and the per-operator wall
+    times of both executions."""
     staged = staged.materialize()
-    refs = [ref for bundle in staged.iter_internal_ref_bundles() for ref in bundle.block_refs]
+    refs = _block_refs(staged)
 
-    def merge_buckets(batch: dict) -> pa.Table:
+    def merge_bucket(r: int) -> pa.Table:
         blocks = ray.get(refs)
-        out = [merge(g) for r in batch["id"] for g in _bucket_groups(blocks, int(r), S, R)]
-        return pa.concat_tables([MANIFEST_ROW_SCHEMA.empty_table(), *out])
+        counts, val, hot = _partition_counts(blocks, hot_threshold)
+        out = [
+            merge(g, gkey // S, gkey, gkey // S in hot)
+            for gkey, g in _bucket_groups(blocks, r, S, R, hot)
+        ]
+        # one chunk: the driver deserializes each chunk of each column
+        rows = pa.concat_tables([MANIFEST_ROW_SCHEMA.empty_table(), *out]).combine_chunks()
+        return _with_partials(rows, {"group": {"counts": counts, **val}})
 
-    merged = ray.data.range(R, override_num_blocks=R).map_batches(
-        merge_buckets, batch_size=None
-    )
-    rows = merged.take_all()
-    return rows, _op_secs(staged, merged)
+    merged = _task_dataset(
+        "MergeBuckets", [functools.partial(merge_bucket, r) for r in range(R)]
+    ).materialize()
+    return ray.get(_block_refs(merged)), _op_secs(staged, merged)
+
+
+_CPUS: tuple[float, int] = (float("-inf"), 0)
+
+
+def _ray_cpus() -> int:
+    """The Ray cluster's CPU count, which sizes the read units and the
+    merge exchange, re-read at most once a minute: the query is a round
+    trip to Ray's control store, ~2 ms of a 0.4 s commit group."""
+    global _CPUS
+    if time.monotonic() - _CPUS[0] > 60:
+        _CPUS = (time.monotonic(), int(ray.cluster_resources().get("CPU", 8)))
+    return _CPUS[1]
+
+
+_COMMIT_POOL: ThreadPoolExecutor | None = None
+
+
+def _commit_pool() -> ThreadPoolExecutor:
+    """The driver's partition-commit threads, kept across commit groups
+    (a fresh pool per group paid thread starts and a join each time).
+    fsync-bound, not CPU-bound: one thread per partition (the threads
+    sleep in fsync) collapses the wave count — 64 partitions measured
+    1.7 s at 16 threads vs ~0.6 s at 64."""
+    global _COMMIT_POOL
+    if _COMMIT_POOL is None:
+        _COMMIT_POOL = ThreadPoolExecutor(max_workers=64, thread_name_prefix="commit")
+    return _COMMIT_POOL
 
 
 def run_ingest(
@@ -1085,7 +1176,8 @@ def _run_ingest(
         )
 
     quarantined: list[str] = []
-    epochs = discover_epochs(events_dir, quarantine=quarantined)
+    footer_of: dict[str, pq.FileMetaData] = {}
+    epochs = discover_epochs(events_dir, quarantine=quarantined, footers=footer_of)
     wm = effective_watermarks(lake_dir, P)
     min_wm = min(wm.values()) if wm else -1
     todo = sorted(e for e in epochs if e > min_wm)
@@ -1125,7 +1217,7 @@ def _run_ingest(
 
     from gene_etl_ray.state.lock import heartbeat
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
+    cpus = _ray_cpus()
     crash = _CrashHook(fail_after_partitions)
     for i in range(0, len(todo), cfg.epochs_per_commit):
         heartbeat(cfg.lake_dir)  # cross-host lease renewal, once per group
@@ -1155,46 +1247,8 @@ def _run_ingest(
                 sum(dl.values())
             )
 
-        t_grp = time.time()
-        footers = [pq.read_metadata(f) for f in files]
+        footers = [footer_of[f] for f in files]
         report["events_in"] += sum(md.num_rows for md in footers)
-        # The counts/pre-validation pass prunes the lake-side read and
-        # detects hot partitions. On a FRESH lake there is nothing to
-        # prune, so it may be skipped (cfg.prevalidate=False) — the merge
-        # output then determines the affected set post-hoc.
-        has_lake = bool(current_files(lake_dir))
-        if cfg.prevalidate or (has_lake and cfg.merge_mode == "cow"):
-            counts, val, stage_secs = _partition_counts(files, cfg, wm_arr, late_cutoff)
-            for k, v in val.items():
-                report["validation"][k] = report["validation"].get(k, 0) + v
-            hot = {k for k, c in counts.items() if c > cfg.hot_partition_threshold}
-            if hot:
-                logger.info(
-                    "salting armed: %d hot partition(s) %s exceed "
-                    "hot_partition_threshold=%d (max count %d) — each "
-                    "splits into %d url-deterministic sub-keys for the "
-                    "merge exchange",
-                    len(hot), sorted(hot)[:8], cfg.hot_partition_threshold,
-                    max(counts.values()), cfg.salt_factor)
-            affected = [k for k in counts if commit_epoch > wm_arr[k]]
-            if not affected:
-                # resume may land here AFTER a crash that committed every
-                # touched partition but died before the global record —
-                # recover the epoch total from lineage rather than
-                # writing an events-less noop
-                noop_info = _epoch_record_info(lake_dir, commit_epoch, cfg)
-                write_global_epoch(lake_dir, commit_epoch, noop_info)
-                wm_arr[:] = np.maximum(wm_arr, commit_epoch)
-                if (
-                    cfg.allowed_lateness_us is not None
-                    and noop_info.get("max_warc_ts_us") is not None
-                ):
-                    m = int(noop_info["max_warc_ts_us"])
-                    ev_time_wm = m if ev_time_wm is None else max(ev_time_wm, m)
-                continue
-        else:
-            counts, hot, affected, stage_secs = {}, set(), [], {}
-        t_counts = time.time() - t_grp
 
         # -- schema evolution (phase 0: durable BEFORE any data commit) --
         # A commit group may span a mid-stream schema change; unify the
@@ -1206,7 +1260,6 @@ def _run_ingest(
             # metadata dict defeats Ray's schema dedup
             s = md.schema.to_arrow_schema().remove_metadata()
             group_schema = s if group_schema is None else evolve_schema(group_schema, s)
-        exchange_bytes = sum(os.path.getsize(f) for f in files)
         units = _read_units(files, footers, 2 * cpus)
         incoming_lake = lake_schema_for(group_schema, keep_html=cfg.keep_html)
         if meta is None:
@@ -1227,72 +1280,63 @@ def _run_ingest(
         }
         write_lake_meta(lake_dir, meta)
 
-        # -- the streaming pipeline --
-        # No extractor stage: the raw html rides through the exchange as
-        # a side column and the merge extracts only the LWW winners (~1/U
-        # of the events for U updates per url), so read → prep → map side
-        # run as one task per read unit.
-        key_stage = _make_key_stage(cfg, hot, wm_arr.copy(), commit_epoch)
-        sides = [
-            (
-                ray.data.range(len(units), override_num_blocks=len(units)),
-                lambda b, _c=late_cutoff, _t=target, _s=group_schema: pa.concat_tables(
-                    [
-                        _events_to_shuffle(_read_row_groups(units[u], _s), _c, key_stage, _t)
-                        for u in b.column("id").to_pylist()
-                    ]
-                ),
-            )
-        ]
-
-        # cow: the affected partitions' current state joins the exchange
-        # so the merge rewrites them whole. mor: skip the lake read
-        # entirely — the LWW-deduped delta is APPENDED and reads resolve
-        # across files.
-        if cfg.merge_mode == "cow":
-            lake_files = current_files(lake_dir, affected)
-            existing = [f for fs in lake_files.values() for f in fs]
-            if existing:
-                exchange_bytes += sum(os.path.getsize(f) for f in existing)
-                # pass the evolved schema: a partition untouched since a
-                # schema change still has old-schema files, and a bare
-                # read would drop the new columns before conform ran
-                sides.append(
-                    (
-                        ray.data.read_parquet(
-                            existing,
-                            partitioning=None,
-                            schema=target,
-                            meta_provider=_NO_FOOTER_PREFETCH,
-                        ),
-                        _make_lake_side_stage(
-                            cfg, hot, target, group_schema.field("html").type
-                        ),
-                    )
+        # -- the merge exchange --
+        # One read task per read unit reads, counts, preps and sorts its
+        # rows: the only read of the group's WAL files. No extractor
+        # stage: the raw html rides through the exchange as a side column
+        # and the merge extracts only the LWW winners (~1/U of the events
+        # for U updates per url). cow: each merge task adds the current
+        # rows of the partitions it merges, so the merge rewrites them
+        # whole. mor: no lake read — the LWW-deduped delta is APPENDED
+        # and reads resolve across files.
+        exchange_bytes = sum(os.path.getsize(f) for f in files)
+        lake_files = current_files(lake_dir) if cfg.merge_mode == "cow" else {}
+        exchange_bytes += sum(os.path.getsize(f) for fs in lake_files.values() for f in fs)
+        key_stage = _make_key_stage(P, cfg.salt_factor, wm_arr.copy())
+        staged = _task_dataset(
+            "Events",
+            [
+                functools.partial(
+                    _stage_events, u, unit, group_schema, late_cutoff, key_stage, target, P
                 )
-
+                for u, unit in enumerate(units)
+            ],
+        )
         t_pipe = time.time()
         # one tiny manifest row per merge group, plus per-operator wall
         # times for metrics.json (observability parity with the
         # reference's process log, ``etl/__init__.py:247-304``)
-        rows, exchange_secs = _merge_exchange(
-            sides,
+        merged, stage_secs = _merge_exchange(
+            staged,
             _make_merge_fn(
                 lake_dir,
                 commit_epoch,
                 drop_tombstones_before_us=late_cutoff,
                 keep_html="html" in target.names,
+                lake_files=lake_files,
+                lake_stage=_make_lake_side_stage(
+                    cfg, target, group_schema.field("html").type
+                ),
             ),
             cfg.salt_factor,
             _exchange_width(cpus, exchange_bytes, P * cfg.salt_factor),
+            cfg.hot_partition_threshold,
         )
         t_pipe = time.time() - t_pipe
-        for name, secs in exchange_secs.items():
-            stage_secs[name] = stage_secs.get(name, 0.0) + secs
+        counts, val, hot = _partition_counts(merged, cfg.hot_partition_threshold)
+        for k, v in val.items():
+            report["validation"][k] = report["validation"].get(k, 0) + v
+        if hot:
+            logger.info(
+                "salting armed: %d hot partition(s) %s exceed "
+                "hot_partition_threshold=%d (max count %d) — each "
+                "merged as %d url-deterministic sub-groups",
+                len(hot), sorted(hot)[:8], cfg.hot_partition_threshold,
+                max(counts.values()), cfg.salt_factor)
 
         # -- phase 2: commit (driver-side, O(touched partitions)) --
         by_pkey: dict[int, list[dict]] = {}
-        for r in rows:
+        for r in pa.concat_tables(merged).to_pylist():
             by_pkey.setdefault(int(r["pkey"]), []).append(r)
 
         if cfg.write_audit_publish:
@@ -1322,15 +1366,7 @@ def _run_ingest(
             by the lake lock). Returns the partition's applied count."""
             crash.check(spend=True)
             rs = by_pkey[pkey]
-            # counts-pass number when available, else the merge groups'
-            # own pre-dedup input sizes (exact: the merge sees every
-            # event, and the key stage already dropped watermark-filtered
-            # ones before it)
-            pkey_events = (
-                counts.get(pkey, 0)
-                if counts
-                else sum(int(x["events_in"]) for x in rs)
-            )
+            pkey_events = counts.get(pkey, 0)
             stats = {
                 "rows": sum(int(x["rows"]) for x in rs),
                 "live_rows": sum(int(x["live_rows"]) for x in rs),
@@ -1376,20 +1412,10 @@ def _run_ingest(
         # lease check up front: the whole parallel phase is far shorter
         # than a per-partition loop.
         heartbeat(cfg.lake_dir)
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(
-            # fsync-bound, not CPU-bound: one thread per partition (the
-            # threads sleep in fsync) collapses the wave count — 64
-            # partitions measured 1.7 s at 16 threads vs ~0.6 s at 64
-            max_workers=min(64, max(1, len(by_pkey)))
-        ) as pool:
-            applied = sum(pool.map(commit_one, sorted(by_pkey)))
+        futures = [_commit_pool().submit(commit_one, k) for k in sorted(by_pkey)]
+        futures_wait(futures)  # every commit settles before an error propagates
+        applied = sum(f.result() for f in futures)
         crash.check(spend=False)
-        # (no fresh-lake "applied = group_events" fast path: on a resume
-        # with prevalidate=False that would count watermark-filtered,
-        # already-committed events as applied — events_in above is exact)
-        #
         # The global record totals the COMMIT GROUP across attempts: a
         # crashed run may already have committed + lineage'd some
         # partitions (this run watermark-skipped them) — `applied` stays
@@ -1408,12 +1434,15 @@ def _run_ingest(
             if m is not None:
                 ev_time_wm = int(m) if ev_time_wm is None else max(ev_time_wm, int(m))
         report["events_applied"] += applied
+        if not by_pkey:
+            # every event was already committed (a resume after a crash
+            # before this group's global record) or rejected: a noop
+            continue
         report["commits"].append(
             {
                 "epoch": commit_epoch,
                 "partitions": len(by_pkey),
                 "hot": sorted(hot),
-                "counts_sec": round(t_counts, 3),
                 "pipeline_sec": round(t_pipe, 3),
                 # partition commits through the global epoch record only
                 # (schema evolution and audit are not commit time)
@@ -2009,12 +2038,13 @@ def _compact_locked(
     if cfg.allowed_lateness_us is not None:
         w = event_time_watermark(lake_dir)
         gc_cutoff = w - cfg.allowed_lateness_us if w is not None else None
-    ds = ray.data.read_parquet(
+    stage = _make_lake_side_stage(cfg, target)
+    staged = ray.data.read_parquet(
         files, partitioning=None, schema=target, meta_provider=_NO_FOOTER_PREFETCH
-    )
+    ).map_batches(lambda b: _bucket_sort(stage(b)), batch_size=None, batch_format="pyarrow")
     P, S = cfg.num_partitions, cfg.salt_factor
-    rows, _ = _merge_exchange(
-        [(ds, _make_lake_side_stage(cfg, set(), target))],
+    merged, _ = _merge_exchange(
+        staged,
         _make_merge_fn(
             lake_dir,
             epoch,
@@ -2025,13 +2055,14 @@ def _compact_locked(
         ),
         S,
         _exchange_width(
-            int(ray.cluster_resources().get("CPU", 8)),
+            _ray_cpus(),
             sum(os.path.getsize(f) for f in files),
             P * S,
         ),
+        cfg.hot_partition_threshold,
     )
     by_pkey: dict[int, list[dict]] = {}
-    for r in rows:
+    for r in pa.concat_tables(merged).to_pylist():
         by_pkey.setdefault(int(r["pkey"]), []).append(r)
     from gene_etl_ray.state.lock import heartbeat
 

@@ -11,6 +11,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray
 
 from gene_etl_ray.config import EngineConfig
 from gene_etl_ray.fixtures import generate_events
@@ -240,11 +241,13 @@ def test_winners_only_extraction_matches_oracle(tmp_events, tmp_lake, tmp_path):
 def test_without_counts_pass_matches_oracle(
     tmp_events, tmp_lake, tmp_path
 ):
-    """``prevalidate=False``: no counts pass runs, so applied
-    accounting comes from the merge groups' pre-dedup sizes —
-    exact, because the merge sees every admitted event. The lake must
-    converge to the identical oracle state, ties/out-of-order/deletes/
-    schema-add included."""
+    """No group runs a counts pass of its own (``prevalidate=False`` is
+    accepted and ignored): applied accounting sums the per-partition
+    counts the exchange's read tasks compute over the rows they already
+    hold — exact, because they count after the same admission rule and
+    watermark filter the merge sees. The lake must converge to the
+    identical oracle state, ties/out-of-order/deletes/schema-add
+    included."""
     from gene_etl_ray.pipelines.normalize import normalize_batch
 
     generate_events(
@@ -261,6 +264,68 @@ def test_without_counts_pass_matches_oracle(
         for f in glob.glob(os.path.join(tmp_events, "epoch=*.parquet"))
     )
     assert rep["events_applied"] == admitted
+    assert_matches_oracle(tmp_lake, tmp_events)
+
+
+@pytest.mark.parametrize("mode", ["mor", "cow"])
+def test_group_runs_two_dataset_executions(tmp_events, tmp_lake, monkeypatch, mode):
+    """A commit group reads its WAL files once: the exchange's read tasks
+    (one execution) and its merge tasks (the other) — no counts pass,
+    and under cow no lake-side read, also once partitions are committed."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    generate_events(tmp_events, n_urls=120, n_events=600, n_epochs=2)
+    cfg = EngineConfig(lake_dir=tmp_lake, num_partitions=4, merge_mode=mode)
+    execs = []
+    real = StreamingExecutor.execute
+
+    def counted(self, *a, **kw):
+        execs.append(1)
+        return real(self, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    rep = run_ingest(cfg, tmp_events)
+    assert [c["epoch"] for c in rep["commits"]] == [0, 1]
+    assert len(execs) == 2 * 2
+    assert current_files(tmp_lake)  # group 1 merged into committed partitions
+    assert_matches_oracle(tmp_lake, tmp_events)
+
+
+def test_split_blocks_count_each_read_unit_once(tmp_events, tmp_lake, monkeypatch):
+    """Ray may split a large staged block, and every slice keeps the
+    block's partials: forcing tiny output blocks, the validation totals
+    still equal pre-validation over the whole files (``duplicate_seq`` is
+    a per-unit signal) and ``events_applied`` is exact."""
+    from ray.data import DataContext
+
+    from gene_etl_ray.pipelines.normalize import normalize_batch, prevalidate_counts
+
+    generate_events(tmp_events, n_urls=300, n_events=1500, n_epochs=3,
+                    tie_frac=0.15, out_of_order_frac=0.2)
+    blocks = []
+    real = ray.data.Dataset.materialize
+
+    def materialize(self):
+        out = real(self)
+        blocks.append(out.num_blocks())
+        return out
+
+    monkeypatch.setattr(ray.data.Dataset, "materialize", materialize)
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 16 << 10)
+    cfg = EngineConfig(lake_dir=tmp_lake, num_partitions=4, epochs_per_commit=3)
+    rep = run_ingest(cfg, tmp_events)
+    files = glob.glob(os.path.join(tmp_events, "epoch=*.parquet"))
+    row_groups = sum(pq.read_metadata(f).num_row_groups for f in files)
+    assert blocks[0] > row_groups  # staged blocks were split
+    want = {k: 0 for k in rep["validation"]}
+    for f in files:
+        for k, v in prevalidate_counts(pq.read_table(f)).items():
+            want[k] += v
+    got = dict(rep["validation"])
+    assert got.pop("late_events") == want.pop("late_events") == 0
+    assert got.pop("duplicate_seq") >= 0 and want.pop("duplicate_seq") >= 0
+    assert got == want and got["events"] == 1500
+    assert rep["events_applied"] == sum(normalize_batch(pq.read_table(f)).num_rows for f in files)
     assert_matches_oracle(tmp_lake, tmp_events)
 
 

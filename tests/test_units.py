@@ -168,6 +168,15 @@ class TestConfig:
             == EngineConfig(lake_dir=d).hash()
         )
 
+    def test_prevalidate_is_accepted_and_not_hashed(self, tmp_path):
+        d = str(tmp_path)
+        assert (
+            EngineConfig(lake_dir=d, prevalidate=False).hash()
+            == EngineConfig(lake_dir=d, prevalidate=True).hash()
+            == EngineConfig(lake_dir=d).hash()
+        )
+        assert "prevalidate" not in EngineConfig(lake_dir=d).__dict__
+
 
 class TestCrossProcessDeterminism:
     def test_extractor_bytes_identical_across_processes(self, tmp_path):
@@ -229,10 +238,13 @@ class TestMergeExchange:
 
     @staticmethod
     def _exchange(blocks, S, R):
+        """Partitions with a salted key (``gkey % S != 0``) are hot, so
+        every gkey of these blocks is its own merge group."""
         from gene_etl_ray.pipelines.ingest import _bucket_groups, _bucket_sort
 
-        staged = [_bucket_sort(b, S, R) if b.num_rows else b for b in blocks]
-        return {r: _bucket_groups(staged, r, S, R) for r in range(R)}
+        hot = {g // S for b in blocks for g in b.column("gkey").to_pylist() if g % S}
+        staged = [_bucket_sort(b) if b.num_rows else b for b in blocks]
+        return {r: _bucket_groups(staged, r, S, R, hot) for r in range(R)}
 
     def _check(self, blocks, S, R):
         from gene_etl_ray.pipelines.ingest import _bucket_of
@@ -243,8 +255,9 @@ class TestMergeExchange:
             for g, row in zip(b.column("gkey").to_pylist(), b.column("row").to_pylist()):
                 want.setdefault(g, set()).add(row)
         seen: dict[int, list[int]] = {}
-        for r, groups in out.items():
-            keys = [g.column("gkey")[0].as_py() for g in groups]
+        for r, keyed in out.items():
+            keys = [k for k, _ in keyed]
+            groups = [g for _, g in keyed]
             assert keys == sorted(set(keys))  # one group per gkey, in order
             for g, k in zip(groups, keys):
                 assert set(g.column("gkey").to_pylist()) == {k}
@@ -273,13 +286,13 @@ class TestMergeExchange:
 
         # a block Ray concatenated from two separately sorted batches, in
         # several chunks: runs are found by key change, not by sortedness
-        a = _bucket_sort(self._block([5, 2, 9, 2, 5], 0), 1, 2)
-        b = _bucket_sort(self._block([2, 9, 9, 5], 50), 1, 2)
+        a = _bucket_sort(self._block([5, 2, 9, 2, 5], 0))
+        b = _bucket_sort(self._block([2, 9, 9, 5], 50))
         block = pa.concat_tables([a.slice(0, 2), a.slice(2), b])
         assert block.column("gkey").num_chunks == 3
         groups = {r: _bucket_groups([block], r, 1, 2) for r in range(2)}
-        got = {g.column("gkey")[0].as_py(): sorted(g.column("row").to_pylist())
-               for gs in groups.values() for g in gs}
+        got = {k: sorted(g.column("row").to_pylist())
+               for gs in groups.values() for k, g in gs}
         assert got == {2: [1, 3, 50], 5: [0, 4, 53], 9: [2, 51, 52]}
         self._check([self._block([5, 2, 9], 700), block], S=1, R=2)
 
@@ -288,7 +301,7 @@ class TestMergeExchange:
         blocks = [self._block(rng.integers(0, 6, 40).tolist(), 1000 * i) for i in range(5)]
         blocks.append(self._block([3] * 7, 9000))
         out = self._check(blocks, S=2, R=3)
-        (g3,) = [g for gs in out.values() for g in gs if g.column("gkey")[0].as_py() == 3]
+        (g3,) = [g for gs in out.values() for k, g in gs if k == 3]
         assert g3.num_rows == 7 + sum(b.column("gkey").to_pylist().count(3) for b in blocks[:5])
 
     def test_salted_gkeys_spread_over_buckets(self):
@@ -304,6 +317,38 @@ class TestMergeExchange:
         # unsalted keys are multiples of S; a bare gkey % R would put all
         # of them in bucket 0
         assert all(out[r] for r in range(R))
+
+    def test_hot_set_decides_salting_after_the_map_side(self):
+        """Blocks keyed with every url's salt, whatever the hot set: a cold
+        partition's S salted sub-runs form one group keyed ``pkey * S``
+        (one slice per block), a hot partition forms S groups (a salt
+        without rows, an empty one), and every row lands exactly once."""
+        from gene_etl_ray.pipelines.ingest import _bucket_groups, _bucket_of, _bucket_sort
+
+        S, R = 4, 3
+        cold = [1 * S + s for s in range(S)] + [5 * S, 5 * S + 3]
+        hot = [2 * S + s for s in range(S)] + [3 * S + 1, 3 * S + 2]
+        rng = np.random.default_rng(3)
+        blocks = [
+            _bucket_sort(self._block(rng.permutation(cold * 2 + hot).tolist(), 100 * i))
+            for i in range(3)
+        ]
+        out = {r: _bucket_groups(blocks, r, S, R, {2, 3}) for r in range(R)}
+        groups = {k: g for keyed in out.values() for k, g in keyed}
+        assert sorted(groups) == [1 * S, 2 * S, 2 * S + 1, 2 * S + 2, 2 * S + 3,
+                                  3 * S, 3 * S + 1, 3 * S + 2, 3 * S + 3, 5 * S]
+        for r, keyed in out.items():
+            assert all(int(_bucket_of(np.array([k]), S, R)[0]) == r for k, _ in keyed)
+        for p in (1, 5):
+            g = groups[p * S]
+            assert set(g.column("gkey").to_pylist()) == {k for k in cold if k // S == p}
+            assert g.column("gkey").num_chunks == len(blocks)  # one slice per block
+        for k in (2 * S, 2 * S + 1, 2 * S + 2, 2 * S + 3, 3 * S + 1, 3 * S + 2):
+            assert set(groups[k].column("gkey").to_pylist()) == {k}
+        assert groups[3 * S].num_rows == groups[3 * S + 3].num_rows == 0
+        rows = [x for g in groups.values() for x in g.column("row").to_pylist()]
+        assert sorted(rows) == sorted(x for b in blocks for x in b.column("row").to_pylist())
+        assert all(g.schema.metadata is None for g in groups.values())
 
 
 class TestLateMergeExtraction:
@@ -346,7 +391,7 @@ class TestLateMergeExtraction:
         assert group.schema.names[:-2] == target.names
 
         out = _make_merge_fn(str(tmp_path), commit_epoch=0)(group)
-        assert out.column("events_in").to_pylist() == [n]
+        assert out.column("rows").to_pylist() == [4]
         written = pq.read_table(out.column("path")[0].as_py())
         assert HTML_SIDE_COLUMN not in written.column_names
         assert written.schema.names == target.names
@@ -408,7 +453,7 @@ class TestLateMergeExtraction:
         )
         ev = _events_to_lake(events, target)
         cfg = EngineConfig(lake_dir=str(tmp_path), num_partitions=1)
-        old = _make_lake_side_stage(cfg, set(), target, pa.binary())(stored)
+        old = _make_lake_side_stage(cfg, target, pa.binary())(stored)
         side = [HTML_SIDE_COLUMN if c == "html" else c for c in target.names]
         assert ev.schema.names == old.schema.names == side + ["gkey"]
         assert ev.schema == old.schema
