@@ -54,6 +54,7 @@ from __future__ import annotations
 import functools
 import glob
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -753,8 +754,6 @@ def _make_merge_fn(
     cluster_rows: int | None = None,
     transform=None,
     keep_html: bool = False,
-    lake_files: dict[int, list[str]] | None = None,
-    lake_stage=None,
 ):
     """Per-group LWW merge + partition-file write (phase 1 of the commit).
 
@@ -783,27 +782,11 @@ def _make_merge_fn(
     after the dedup yields exactly the extract-everything result.
 
     The merge exchange passes each group's partition ``pkey`` and the
-    ``gkey`` that names its file; a bare call keys the group by its first
-    row. Copy-on-write ingest passes the manifest snapshot ``lake_files``
-    (pkey → current files) and ``lake_stage`` (``_make_lake_side_stage``):
-    the merge reads the group's partition whole and adds its rows, only
-    those of the group's salt when the partition is ``salted``.
+    ``gkey`` that names its file.
     """
     extract = per_process_extractor()
 
-    def merge(
-        group: pa.Table, pkey: int | None = None, gkey: int | None = None, salted: bool = False
-    ) -> pa.Table:
-        if pkey is None and group.num_rows:
-            pkey = group.column(PKEY_COLUMN)[0].as_py()
-            gkey = group.column("gkey")[0].as_py()
-        if lake_files and lake_files.get(pkey):
-            stored = pa.concat_tables(
-                [lake_stage(pq.ParquetFile(f).read()) for f in lake_files[pkey]]
-            )
-            if salted:
-                stored = stored.filter(pc.equal(stored.column("gkey"), gkey))
-            group = pa.concat_tables([group, stored])
+    def merge(group: pa.Table, pkey: int, gkey: int) -> pa.Table:
         if group.num_rows == 0:
             return MANIFEST_ROW_SCHEMA.empty_table()
         t = group.drop_columns(["gkey"]).combine_chunks()
@@ -921,15 +904,16 @@ def _make_merge_fn(
     return merge
 
 
-#: stored (Parquet) input bytes per merge task above which the merge
-#: exchange adds buckets beyond one per CPU
+#: exchanged input (Parquet bytes on disk) per merge task above which
+#: the merge exchange adds buckets beyond one per CPU
 EXCHANGE_BUCKET_BYTES = 64 << 20
 
 
 def _exchange_width(cpus: int, nbytes: int, num_groups: int) -> int:
     """R, the merge exchange's bucket count: one per CPU, more once a
-    bucket would hold over ``EXCHANGE_BUCKET_BYTES`` of stored input,
-    never more than there are merge groups."""
+    bucket would hold over ``EXCHANGE_BUCKET_BYTES`` of the ``nbytes``
+    that pass through the exchange, never more than there are merge
+    groups."""
     return min(max(cpus, -(-nbytes // EXCHANGE_BUCKET_BYTES)), num_groups)
 
 
@@ -1023,20 +1007,44 @@ class _TaskSource(ray.data.Datasource):
         return [ReadTask(lambda f=f: [f()], meta) for f in self._fns]
 
 
-def _block_refs(ds: "ray.data.MaterializedDataset") -> list:
-    """The block refs of a materialized Dataset, read from its executed
-    plan: ``iter_internal_ref_bundles`` first re-runs the plan's
-    ``execute``, which queries the cluster's available resources (a
-    control-store round trip) before it finds the plan already done."""
-    return list(ds._plan._snapshot_bundle.block_refs)
-
-
 def _task_dataset(name: str, fns: list) -> "ray.data.Dataset":
     return ray.data.read_datasource(_TaskSource(name, fns), override_num_blocks=len(fns))
 
 
+def _stored_rows(
+    files: list[str], stage, gkeys: list[int], salted: bool
+) -> dict[int, list[pa.Table]]:
+    """A copy-on-write partition's current rows for the merge groups
+    ``gkeys`` one merge task holds of it, staged by ``stage``
+    (``_make_lake_side_stage``). Each file is read once per task, a row
+    group at a time. A cold partition is one group and takes every row;
+    a ``salted`` (hot) partition's rows go to their own salt's group, and
+    the rows of salts other tasks merge are dropped row group by row
+    group, so the task holds its share of the partition, not all of it."""
+    out: dict[int, list[pa.Table]] = {g: [] for g in gkeys}
+    for f in files:
+        pf = pq.ParquetFile(f)
+        for i in range(pf.num_row_groups):
+            t = stage(pf.read_row_group(i))
+            if not salted:
+                out[gkeys[0]].append(t)
+                continue
+            gk = t.column("gkey").to_numpy()
+            for g in gkeys:
+                keep = gk == g
+                if keep.any():
+                    out[g].append(t.filter(keep))
+    return out
+
+
 def _merge_exchange(
-    staged: "ray.data.Dataset", merge, S: int, R: int, hot_threshold: int
+    staged: "ray.data.Dataset",
+    merge,
+    S: int,
+    R: int,
+    hot_threshold: int,
+    lake_files: dict[int, list[str]] | None = None,
+    lake_stage=None,
 ) -> tuple[list[pa.Table], dict[str, float]]:
     """The one wide exchange of a commit group: every row of one merge
     group reaches one ``merge`` call, with no actor and no sort of the
@@ -1053,27 +1061,46 @@ def _merge_exchange(
        ``ray.get`` releases its CPU, and Ray may start another worker
        process on it).
 
-    Returns the merge tasks' output blocks — manifest rows, with the
-    summed partials on their schema metadata — and the per-operator wall
-    times of both executions."""
+    Copy-on-write ingest passes the manifest snapshot ``lake_files``
+    (pkey → current files) and ``lake_stage``: a merge task adds the
+    stored rows of each partition it merges (``_stored_rows``), so the
+    merge rewrites the partition whole. Task r gets the files of the
+    partitions whose groups can fall in bucket r, hot or cold. Returns
+    the merge tasks' output blocks — manifest rows, with the summed
+    partials on their schema metadata — and the per-operator wall times
+    of both executions."""
     staged = staged.materialize()
-    refs = _block_refs(staged)
+    refs = [ref for bundle in staged.iter_internal_ref_bundles() for ref in bundle.block_refs]
 
-    def merge_bucket(r: int) -> pa.Table:
+    def merge_bucket(r: int, files: dict[int, list[str]]) -> pa.Table:
         blocks = ray.get(refs)
         counts, val, hot = _partition_counts(blocks, hot_threshold)
-        out = [
-            merge(g, gkey // S, gkey, gkey // S in hot)
-            for gkey, g in _bucket_groups(blocks, r, S, R, hot)
-        ]
+        out = []
+        groups = _bucket_groups(blocks, r, S, R, hot)
+        # a partition's groups are adjacent in gkey order
+        for pkey, pgroups in itertools.groupby(groups, key=lambda kg: kg[0] // S):
+            pgroups = list(pgroups)
+            stored = _stored_rows(
+                files.get(pkey, []), lake_stage, [g for g, _ in pgroups], pkey in hot
+            )
+            for gkey, g in pgroups:
+                out.append(merge(pa.concat_tables([g, *stored[gkey]]), pkey, gkey))
         # one chunk: the driver deserializes each chunk of each column
         rows = pa.concat_tables([MANIFEST_ROW_SCHEMA.empty_table(), *out]).combine_chunks()
         return _with_partials(rows, {"group": {"counts": counts, **val}})
 
     merged = _task_dataset(
-        "MergeBuckets", [functools.partial(merge_bucket, r) for r in range(R)]
+        "MergeBuckets",
+        [
+            # (pkey + salt) % R == r for some salt < S (``_bucket_of``)
+            functools.partial(
+                merge_bucket, r, {p: fs for p, fs in (lake_files or {}).items() if (r - p) % R < S}
+            )
+            for r in range(R)
+        ],
     ).materialize()
-    return ray.get(_block_refs(merged)), _op_secs(staged, merged)
+    blocks = [ref for bundle in merged.iter_internal_ref_bundles() for ref in bundle.block_refs]
+    return ray.get(blocks), _op_secs(staged, merged)
 
 
 _CPUS: tuple[float, int] = (float("-inf"), 0)
@@ -1285,13 +1312,11 @@ def _run_ingest(
         # rows: the only read of the group's WAL files. No extractor
         # stage: the raw html rides through the exchange as a side column
         # and the merge extracts only the LWW winners (~1/U of the events
-        # for U updates per url). cow: each merge task adds the current
+        # for U updates per url). cow: each merge task reads the current
         # rows of the partitions it merges, so the merge rewrites them
-        # whole. mor: no lake read — the LWW-deduped delta is APPENDED
-        # and reads resolve across files.
-        exchange_bytes = sum(os.path.getsize(f) for f in files)
-        lake_files = current_files(lake_dir) if cfg.merge_mode == "cow" else {}
-        exchange_bytes += sum(os.path.getsize(f) for fs in lake_files.values() for f in fs)
+        # whole; stored rows never pass through the exchange, so the WAL
+        # bytes alone size it. mor: no lake read — the LWW-deduped delta
+        # is APPENDED and reads resolve across files.
         key_stage = _make_key_stage(P, cfg.salt_factor, wm_arr.copy())
         staged = _task_dataset(
             "Events",
@@ -1313,14 +1338,14 @@ def _run_ingest(
                 commit_epoch,
                 drop_tombstones_before_us=late_cutoff,
                 keep_html="html" in target.names,
-                lake_files=lake_files,
-                lake_stage=_make_lake_side_stage(
-                    cfg, target, group_schema.field("html").type
-                ),
             ),
             cfg.salt_factor,
-            _exchange_width(cpus, exchange_bytes, P * cfg.salt_factor),
+            _exchange_width(
+                cpus, sum(os.path.getsize(f) for f in files), P * cfg.salt_factor
+            ),
             cfg.hot_partition_threshold,
+            lake_files=current_files(lake_dir) if cfg.merge_mode == "cow" else None,
+            lake_stage=_make_lake_side_stage(cfg, target, group_schema.field("html").type),
         )
         t_pipe = time.time() - t_pipe
         counts, val, hot = _partition_counts(merged, cfg.hot_partition_threshold)

@@ -291,6 +291,30 @@ def test_group_runs_two_dataset_executions(tmp_events, tmp_lake, monkeypatch, mo
     assert_matches_oracle(tmp_lake, tmp_events)
 
 
+def test_hot_cow_partitions_merge_into_committed_files(tmp_events, tmp_lake, tmp_path):
+    """Copy-on-write partitions committed cold (one file with every salt)
+    and then merged hot (each salt's merge task keeps only its share of
+    the stored rows), then hot again over per-salt files: the lake still
+    equals the oracle, and the hot commits rewrote each partition as one
+    file per salt."""
+    generate_events(tmp_events, n_urls=300, n_events=1500, n_epochs=3)
+    first = str(tmp_path / "first")
+    os.makedirs(first)
+    shutil.copy(os.path.join(tmp_events, "epoch=00000.parquet"), first)
+    run_ingest(EngineConfig(lake_dir=tmp_lake, num_partitions=4), first)
+    assert all(len(fs) == 1 for fs in current_files(tmp_lake).values())
+    rep = run_ingest(
+        EngineConfig(lake_dir=tmp_lake, num_partitions=4, salt_factor=4,
+                     hot_partition_threshold=0),
+        tmp_events,
+    )
+    assert [c["epoch"] for c in rep["commits"]] == [1, 2]
+    assert all(c["hot"] for c in rep["commits"])
+    files = current_files(tmp_lake)
+    assert len(files) == 4 and all(1 < len(fs) <= 4 for fs in files.values())
+    assert_matches_oracle(tmp_lake, tmp_events)
+
+
 def test_split_blocks_count_each_read_unit_once(tmp_events, tmp_lake, monkeypatch):
     """Ray may split a large staged block, and every slice keeps the
     block's partials: forcing tiny output blocks, the validation totals

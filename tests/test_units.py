@@ -350,6 +350,41 @@ class TestMergeExchange:
         assert sorted(rows) == sorted(x for b in blocks for x in b.column("row").to_pylist())
         assert all(g.schema.metadata is None for g in groups.values())
 
+    def test_stored_rows_keep_only_the_task_salts(self, tmp_path):
+        """A copy-on-write merge task reads a stored partition a row group
+        at a time: for a hot partition it keeps only the salts it merges,
+        each row in its own salt's group; a cold partition's rows all go
+        to its one group."""
+        import pyarrow.parquet as pq
+
+        from gene_etl_ray.pipelines.ingest import _make_lake_side_stage, _stored_rows
+        from gene_etl_ray.schema import EVENT_SCHEMA, lake_schema_for
+
+        S = 4
+        target = lake_schema_for(EVENT_SCHEMA)
+        urls = [f"http://h{i % 7}.example/{i}" for i in range(300)]
+        files = []
+        for j, part in enumerate((urls[:170], urls[170:])):
+            f = str(tmp_path / f"f{j}.parquet")
+            pq.write_table(
+                conform_table(pa.table({"url": pa.array(part, pa.string())}), target),
+                f, row_group_size=40,
+            )
+            files.append(f)
+        _, gk = group_keys(np.array(urls, dtype=object), 1, S)
+        stage = _make_lake_side_stage(EngineConfig(lake_dir=str(tmp_path), num_partitions=1,
+                                                   salt_factor=S), target)
+        got = _stored_rows(files, stage, [1, 3], salted=True)
+        assert sorted(got) == [1, 3]
+        for g, pieces in got.items():
+            assert all(p.num_rows <= 40 for p in pieces)  # one row group's share
+            assert sorted(u for p in pieces for u in p.column("url").to_pylist()) == sorted(
+                u for u, k in zip(urls, gk) if k == g
+            )
+            assert all(set(p.column("gkey").to_pylist()) == {g} for p in pieces)
+        (cold,) = _stored_rows(files, stage, [0], salted=False).values()
+        assert sorted(u for p in cold for u in p.column("url").to_pylist()) == sorted(urls)
+
 
 class TestLateMergeExtraction:
     """The merge exchange's fused late extraction, called directly on a
@@ -390,7 +425,7 @@ class TestLateMergeExtraction:
         )
         assert group.schema.names[:-2] == target.names
 
-        out = _make_merge_fn(str(tmp_path), commit_epoch=0)(group)
+        out = _make_merge_fn(str(tmp_path), commit_epoch=0)(group, 0, 0)
         assert out.column("rows").to_pylist() == [4]
         written = pq.read_table(out.column("path")[0].as_py())
         assert HTML_SIDE_COLUMN not in written.column_names
@@ -459,7 +494,7 @@ class TestLateMergeExtraction:
         assert ev.schema == old.schema
 
         out = _make_merge_fn(str(tmp_path), commit_epoch=1, keep_html=True)(
-            pa.concat_tables([ev, old])
+            pa.concat_tables([ev, old]), 0, 0
         )
         written = pq.read_table(out.column("path")[0].as_py())
         assert written.schema.names == target.names
