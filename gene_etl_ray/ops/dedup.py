@@ -200,16 +200,20 @@ def bucketed_group_apply(
                         col.to_numpy(zero_copy_only=False).astype(
                             np.int64, copy=False))
             elif pa.types.is_floating(col.type):
+                # an int key block that carried a null arrives float64
+                # (pandas upcast): losslessly-integral values take the
+                # int64 hash, as BloomFilter._positions does, so 5 and
+                # 5.0 share a bucket; NaN takes the null hash
                 v = col.to_numpy(zero_copy_only=False).astype(
                     np.float64, copy=False)
-                nn = ~np.isnan(v)
-                if nn.all():
-                    hk = pd.util.hash_array(v)
-                else:
-                    hk = np.full(
-                        len(v), np.uint64(0xD1B54A32D192ED03),
-                        dtype=np.uint64)
-                    hk[nn] = pd.util.hash_array(v[nn])
+                with np.errstate(invalid="ignore"):
+                    integral = (np.isfinite(v) & (np.floor(v) == v)
+                                & (np.abs(v) < 2.0 ** 63))
+                frac = ~integral & ~np.isnan(v)
+                hk = np.full(
+                    len(v), np.uint64(0xD1B54A32D192ED03), dtype=np.uint64)
+                hk[integral] = pd.util.hash_array(v[integral].astype(np.int64))
+                hk[frac] = pd.util.hash_array(v[frac])
             else:
                 hk = pd.util.hash_array(
                     np.asarray(col.to_pylist(), dtype=object),

@@ -14,6 +14,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import ray.data
@@ -564,12 +566,14 @@ def pq_adc_topk(
     )
 
 
+@functools.lru_cache(maxsize=16)
 def _rp_signs(d_in: int, d_out: int) -> np.ndarray:
     """Deterministic ±1 projection matrix (Achlioptas 2003 sign
     variant of Johnson–Lindenstrauss): sign(i, j) = +1 iff the first
     hex nibble of md5("i:j") (1-based indices) is 0-7. md5 is
     byte-identical across engines, which is what makes the projection
-    SQL-twinnable (DuckDB ``md5`` computes the same hex)."""
+    SQL-twinnable (DuckDB ``md5`` computes the same hex). Built once per
+    process and shape; the cached array is read-only."""
     import hashlib
 
     s = np.empty((d_in, d_out), dtype=np.float64)
@@ -577,6 +581,7 @@ def _rp_signs(d_in: int, d_out: int) -> np.ndarray:
         for j in range(d_out):
             h = hashlib.md5(f"{i + 1}:{j + 1}".encode()).hexdigest()
             s[i, j] = 1.0 if h[0] in "01234567" else -1.0
+    s.setflags(write=False)
     return s
 
 
@@ -593,10 +598,10 @@ def random_projection(
     expensive exact pass; 4× less matmul and shuffle width).
 
     Scale shape: the sign matrix is O(d_in·d_out) and builds once per
-    actor; the projection is one per-batch matmul, zero shuffle.
+    worker process (``_rp_signs`` is cached); the projection is one
+    per-batch matmul, zero shuffle.
     Emits LONG format (id, j, pv) — one row per output coordinate —
     so every projected value sits under the value-hash gate."""
-    state = {}
 
     def fn(b: pd.DataFrame) -> pd.DataFrame:
         if not len(b):
@@ -605,10 +610,7 @@ def random_projection(
                 "j": pd.Series([], dtype="int64"),
                 "pv": pd.Series([], dtype="float64")})
         M = _to_matrix(b[vec_col]).astype(np.float64)
-        S = state.get("S")
-        if S is None or S.shape != (M.shape[1], out_dim):
-            S = state["S"] = _rp_signs(M.shape[1], out_dim)
-        P = (M @ S) / np.sqrt(float(out_dim))
+        P = (M @ _rp_signs(M.shape[1], out_dim)) / np.sqrt(float(out_dim))
         ids = b[id_col].to_numpy(np.int64)
         return pd.DataFrame({
             id_col: np.repeat(ids, out_dim),

@@ -25,8 +25,12 @@ are quarantined with later epochs held back; a single-writer lock
 serializes committers; bounded object-store backpressure is configurable.
 
 Scale properties (designed for 10^10 events / multi-node):
-- the only all-to-all exchange is the merge exchange on ``gkey``;
-  everything before it streams with backpressure. On one node the merge
+- the only all-to-all exchange is ingest's merge exchange on ``gkey``;
+  everything before it streams with backpressure. Every other pass over
+  the lake (reads, compaction, diff, validation, audit, export,
+  repartition, view refresh) is one task per partition through one
+  reader (``_partition_rows``): the url-hash layout already co-locates
+  a url's rows. On one node the merge
   tasks read the blocks in place (zero-copy slices of shared memory);
   across nodes a merge task fetches every block whole (open item,
   ROADMAP item 3);
@@ -153,22 +157,19 @@ def _clean_staged(lake_dir: str) -> None:
 
 def _audit_staged(cfg: EngineConfig, by_pkey: dict, commit_epoch: int) -> dict:
     """The AUDIT of write-audit-publish, over the staged (tmp) files —
-    DISTRIBUTED, same shape as :func:`validate_lake`: column-pruned
-    (url + tombstone) read keyed per file, per-group vectorized checks.
+    DISTRIBUTED and map-only: one task per staged partition reads its
+    files' url + tombstone columns and computes each file's stats.
     Checks: (1) url uniqueness per staged file (gkey groups partition
     the url space, so per-file uniqueness ⇒ per-partition uniqueness
     for the staged delta); (2) no null/empty urls; (3) staged stats
     reconcile with actual file rows; (4) optional delete-fraction
     circuit breaker (``audit_max_delete_frac``)."""
-    import pandas as pd
-
     expected_rows = {
         x["path"]: int(x["rows"]) for rs in by_pkey.values() for x in rs
     }
-    files = list(expected_rows)
     checks = {
         "epoch": commit_epoch,
-        "files": len(files),
+        "files": len(expected_rows),
         "unique_urls_per_file": True,
         "no_null_urls": True,
         "stats_reconcile": True,
@@ -176,42 +177,36 @@ def _audit_staged(cfg: EngineConfig, by_pkey: dict, commit_epoch: int) -> dict:
         "rows": 0,
         "deleted_rows": 0,
     }
-    if not files:
+    if not expected_rows:
         checks["passed"] = True
         return checks
+    audited = pa.schema([("url", pa.string()), (DELETED_COLUMN, pa.bool_())])
 
-    ds = ray.data.read_parquet(
-        files, columns=["url", DELETED_COLUMN], include_paths=True
-    )
+    def per_file(paths: list[str]) -> pa.Table:
+        out = []
+        for p in paths:
+            t = _partition_rows([p], audited)
+            u = t.column("url")
+            out.append(
+                {
+                    "path": p,
+                    "rows": t.num_rows,
+                    "deleted": pc.sum(t.column(DELETED_COLUMN)).as_py() or 0,
+                    "dup": pc.count_distinct(u, mode="all").as_py() != t.num_rows,
+                    "null_urls": u.null_count + (pc.sum(pc.equal(u, "")).as_py() or 0),
+                }
+            )
+        return pa.Table.from_pylist(out)
 
-    def per_file(g: pd.DataFrame) -> pd.DataFrame:
-        u = g["url"]
-        return pd.DataFrame(
-            {
-                "path": [g["fpath"].iloc[0]],
-                "rows": [len(g)],
-                "deleted": [int(g[DELETED_COLUMN].sum())],
-                "dup": [u.nunique(dropna=False) != len(g)],
-                "null_urls": [int((u.isna() | (u == "")).sum())],
-            }
-        )
-
-    # the implicit `path` column exists only at read time — materialize
-    # it before the shuffle (the groupby planner validates against the
-    # file schema)
-    res = (
-        ds.map_batches(
-            lambda b: b.rename(columns={"path": "fpath"}), batch_format="pandas"
-        )
-        .groupby("fpath")
-        .map_groups(per_file, batch_format="pandas")
-        .to_pandas()
-    )
-    checks["rows"] = int(res["rows"].sum())
-    checks["deleted_rows"] = int(res["deleted"].sum())
-    checks["unique_urls_per_file"] = not bool(res["dup"].any())
-    checks["no_null_urls"] = int(res["null_urls"].sum()) == 0
-    actual = dict(zip(res["path"], res["rows"].astype(int)))
+    res = _task_table(
+        "Audit",
+        [functools.partial(per_file, [x["path"] for x in rs]) for _, rs in sorted(by_pkey.items())],
+    ).to_pylist()
+    checks["rows"] = sum(r["rows"] for r in res)
+    checks["deleted_rows"] = sum(r["deleted"] for r in res)
+    checks["unique_urls_per_file"] = not any(r["dup"] for r in res)
+    checks["no_null_urls"] = not any(r["null_urls"] for r in res)
+    actual = {r["path"]: r["rows"] for r in res}
     checks["stats_reconcile"] = all(
         actual.get(p) == n for p, n in expected_rows.items()
     )
@@ -282,46 +277,40 @@ def _write_dead_letters(
     overwrite). Distributed one task per segment; segments with zero
     rejects write nothing (and clear any stale file). Returns
     epoch → reject count (nonzero only)."""
-    import pandas as pd
-
     from gene_etl_ray.pipelines.normalize import dead_letter_batch
 
     os.makedirs(os.path.join(lake_dir, "_deadletter"), exist_ok=True)
-    items = [{"epoch": int(e), "path": p} for e, p in sorted(files_by_epoch.items())]
 
-    def per_segment(batch: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for _, row in batch.iterrows():
-            e = int(row["epoch"])
-            rej = dead_letter_batch(pq.read_table(row["path"]), late_cutoff_us)
-            final = _dead_letter_path(lake_dir, e)
-            if rej.num_rows:
-                tmp = final + f".tmp{os.getpid()}"
-                pq.write_table(rej, tmp)
-                _fsync_file(tmp)
-                os.replace(tmp, final)
-            else:
-                try:
-                    os.remove(final)  # stale file from an older segment
-                except OSError:
-                    pass
-            out.append({"epoch": e, "rejects": rej.num_rows})
-        return pd.DataFrame(out, columns=["epoch", "rejects"])
+    def per_segment(e: int, path: str) -> pa.Table:
+        rej = dead_letter_batch(pq.read_table(path), late_cutoff_us)
+        final = _dead_letter_path(lake_dir, e)
+        if rej.num_rows:
+            tmp = final + f".tmp{os.getpid()}"
+            pq.write_table(rej, tmp)
+            _fsync_file(tmp)
+            os.replace(tmp, final)
+        else:
+            try:
+                os.remove(final)  # stale file from an older segment
+            except OSError:
+                pass
+        return pa.table({"epoch": [e], "rejects": [rej.num_rows]})
 
-    res = (
-        ray.data.from_items(items)
-        .map_batches(per_segment, batch_size=1, batch_format="pandas")
-        .to_pandas()
-    )
-    return {int(r["epoch"]): int(r["rejects"]) for _, r in res.iterrows() if r["rejects"]}
+    res = _task_table(
+        "DeadLetters",
+        [functools.partial(per_segment, int(e), p) for e, p in sorted(files_by_epoch.items())],
+    ).to_pylist()
+    return {r["epoch"]: r["rejects"] for r in res if r["rejects"]}
 
 
 def read_dead_letters(lake_dir: str) -> "ray.data.Dataset":
-    """Dataset over the dead-letter sink (empty if none)."""
+    """Dataset over the dead-letter sink (empty if none), one read task
+    per file."""
     files = sorted(glob.glob(os.path.join(lake_dir, "_deadletter", "epoch=*.parquet")))
-    if not files:
-        return ray.data.from_arrow(pa.table({"reason": pa.array([], pa.string())}))
-    return ray.data.read_parquet(files, partitioning=None)
+    fns = [lambda f=f: pq.read_table(f).replace_schema_metadata(None) for f in files]
+    return _task_dataset(
+        "DeadLetters", fns or [lambda: pa.table({"reason": pa.array([], pa.string())})]
+    )
 
 
 class CrashInjected(RuntimeError):
@@ -537,8 +526,25 @@ def _partition_counts(
     return counts, val, {k for k, c in counts.items() if c > hot_threshold}
 
 
-#: decoded bytes of row groups one read task takes on (one block)
+#: bytes one read task takes on: decoded WAL row groups (one block) in
+#: ingest, stored partition files in ``read_lake``
 READ_UNIT_BYTES = 128 << 20
+
+
+def _pack(items: list, sizes: list[int], min_units: int) -> list[list]:
+    """Contiguous runs of ``items`` (one task each) of at most
+    ``READ_UNIT_BYTES`` by ``sizes``, smaller when that yields fewer than
+    ``min_units`` runs; never an empty run."""
+    cap = min(READ_UNIT_BYTES, sum(sizes) / max(1, min_units))
+    units: list[list] = []
+    run, acc = [], 0
+    for item, b in zip(items, sizes):
+        if run and acc + b > cap:
+            units.append(run)
+            run, acc = [], 0
+        run.append(item)
+        acc += b
+    return units + [run]
 
 
 def _read_units(
@@ -550,21 +556,12 @@ def _read_units(
     ``READ_UNIT_BYTES`` decoded, smaller when that yields fewer than
     ``min_units`` tasks; never less than one row group. The exchange
     costs a slice per (block, merge group), so blocks are not cut finer."""
-    sized = [
-        (f, i, md.row_group(i).total_byte_size)
-        for f, md in zip(files, footers)
-        for i in range(md.num_row_groups)
-    ]
-    cap = min(READ_UNIT_BYTES, sum(b for *_, b in sized) / max(1, min_units))
-    units: list[list[tuple[str, int]]] = []
-    run, acc = [], 0
-    for f, i, b in sized:
-        if run and acc + b > cap:
-            units.append(run)
-            run, acc = [], 0
-        run.append((f, i))
-        acc += b
-    return units + [run]
+    rgs = [(f, i, md) for f, md in zip(files, footers) for i in range(md.num_row_groups)]
+    return _pack(
+        [(f, i) for f, i, _ in rgs],
+        [md.row_group(i).total_byte_size for _, i, md in rgs],
+        min_units,
+    )
 
 
 def _read_row_groups(unit: list[tuple[str, int]], schema: pa.Schema) -> pa.Table:
@@ -581,23 +578,6 @@ def _read_row_groups(unit: list[tuple[str, int]], schema: pa.Schema) -> pa.Table
             for f, rgs in by_file.items()
         ]
     )
-
-
-class _NoFooterPrefetch(ray.data.datasource.ParquetMetadataProvider):
-    """Lake reads leave each file's footer to its read task. Ray's
-    default provider fetches the footers of a read over 24 files up
-    front in 0.5-CPU tasks, so a scan of a merge-on-read delta stack
-    wants twice as many worker processes as CPUs; the raylet kills the
-    surplus while an ingest holds every CPU, and the next scan waits for
-    new workers or ~1 s in that fetch (BASELINE.md "Task-based merge
-    exchange"). Ray 2.49 marks ``read_parquet(meta_provider=)``
-    deprecated but honours it."""
-
-    def prefetch_file_metadata(self, fragments, **ray_remote_args):
-        return None
-
-
-_NO_FOOTER_PREFETCH = _NoFooterPrefetch()
 
 
 def _make_key_stage(P: int, S: int, watermarks: np.ndarray):
@@ -746,6 +726,43 @@ def _load_bloom_sidecar(parquet_path: str):
         return None  # corrupt sidecar ⇒ fall back to reading the file
 
 
+def _resolve_lww(group: pa.Table) -> pa.Table:
+    """The one LWW kernel (ingest and compaction merges, reads, lookups,
+    views): sort by (url, warc_ts, seq) and keep the last row per url,
+    the max-(warc_ts, seq) version. Exact duplicate (url, warc_ts, seq)
+    rows (at-least-once delivery) collapse to one."""
+    t = group.combine_chunks().sort_by(
+        [("url", "ascending"), ("warc_ts", "ascending"), ("seq", "ascending")]
+    )
+    n = t.num_rows
+    if n > 1:
+        u = t.column("url").combine_chunks()
+        neq = pc.not_equal(u.slice(0, n - 1), u.slice(1, n - 1))
+        t = t.filter(pa.chunked_array([neq, pa.array([True])]))
+    return t
+
+
+def _partition_rows(
+    files: list[str], schema: pa.Schema, columns: list[str] | None = None, mor: bool = False
+) -> pa.Table:
+    """The one reader of stored lake rows: ``files`` (a partition's, or
+    some of them) read for ``columns`` (every field of ``schema`` when
+    None) and conformed to ``schema``'s fields, so a file written before
+    a schema add gets the added columns null-backfilled. ``mor``
+    LWW-resolves the rows (``_resolve_lww``, which needs url, warc_ts and
+    seq among ``columns``): a merge-on-read delta stack folds to one row
+    per url. The lake is hash-partitioned by url, so every per-url pass
+    runs partition-local: one task per partition, no shuffle."""
+    sub = schema if columns is None else pa.schema([schema.field(c) for c in columns])
+    tabs = [sub.empty_table()]
+    for f in files:
+        with pq.ParquetFile(f) as pf:
+            have = set(pf.schema_arrow.names)
+            tabs.append(conform_table(pf.read([c for c in sub.names if c in have]), sub))
+    t = pa.concat_tables(tabs)
+    return _resolve_lww(t) if mor else t
+
+
 def _make_merge_fn(
     lake_dir: str,
     commit_epoch: int,
@@ -757,9 +774,9 @@ def _make_merge_fn(
 ):
     """Per-group LWW merge + partition-file write (phase 1 of the commit).
 
-    Sort by (url, warc_ts, seq); the last row per url is the winner —
-    ties on warc_ts resolve by seq, exact duplicate (url, warc_ts, seq)
-    rows (at-least-once delivery) collapse to one. Tombstone winners are
+    ``_resolve_lww`` keeps the last row per url in (url, warc_ts, seq)
+    order — ties on warc_ts resolve by seq, exact duplicate rows
+    (at-least-once delivery) collapse to one. Tombstone winners are
     RETAINED in the stored partition so later-arriving older versions
     cannot resurrect a deleted url; live-view reads filter them.
     Exception — bounded tombstone retention: under the lateness contract
@@ -781,22 +798,16 @@ def _make_merge_fn(
     orders by (url, warc_ts, seq) only, never by text, so extracting
     after the dedup yields exactly the extract-everything result.
 
-    The merge exchange passes each group's partition ``pkey`` and the
-    ``gkey`` that names its file.
+    The caller (the ingest merge exchange, or a compaction task per
+    partition) passes each group's partition ``pkey`` and the ``gkey``
+    that names its file.
     """
     extract = per_process_extractor()
 
     def merge(group: pa.Table, pkey: int, gkey: int) -> pa.Table:
         if group.num_rows == 0:
             return MANIFEST_ROW_SCHEMA.empty_table()
-        t = group.drop_columns(["gkey"]).combine_chunks()
-        t = t.sort_by([("url", "ascending"), ("warc_ts", "ascending"), ("seq", "ascending")])
-        n = t.num_rows
-        u = t.column("url").combine_chunks()
-        if n > 1:
-            neq = pc.not_equal(u.slice(0, n - 1), u.slice(1, n - 1))
-            last = pa.chunked_array([neq, pa.array([True])])
-            t = t.filter(last)
+        t = _resolve_lww(group.drop_columns(["gkey"]))
         if drop_tombstones_before_us is not None and t.num_rows:
             gc = pc.and_(
                 pc.fill_null(t.column(DELETED_COLUMN), False),
@@ -1004,18 +1015,33 @@ class _TaskSource(ray.data.Datasource):
         from ray.data.datasource import ReadTask
 
         meta = BlockMetadata(num_rows=None, size_bytes=None, input_files=None, exec_stats=None)
-        return [ReadTask(lambda f=f: [f()], meta) for f in self._fns]
+        return [ReadTask(lambda f=f: _blocks(f()), meta) for f in self._fns]
+
+
+def _blocks(out):
+    """A task function's output as blocks: one table, or an iterable of
+    them (a copy-on-write lake read yields a block per file)."""
+    return [out] if isinstance(out, pa.Table) else out
 
 
 def _task_dataset(name: str, fns: list) -> "ray.data.Dataset":
+    """A Dataset of one read task per function in ``fns``; each returns a
+    block or yields blocks."""
     return ray.data.read_datasource(_TaskSource(name, fns), override_num_blocks=len(fns))
+
+
+def _task_table(name: str, fns: list) -> pa.Table:
+    """Run ``fns`` as one ``_task_dataset`` execution and concatenate
+    their small output blocks (reports, manifest rows) on the driver."""
+    return pa.concat_tables(ray.get(_task_dataset(name, fns).to_arrow_refs()))
 
 
 def _stored_rows(
     files: list[str], stage, gkeys: list[int], salted: bool
 ) -> dict[int, list[pa.Table]]:
-    """A copy-on-write partition's current rows for the merge groups
-    ``gkeys`` one merge task holds of it, staged by ``stage``
+    """A partition's current rows for the merge groups ``gkeys`` one
+    merge task holds of it (a copy-on-write ingest merge task, or a
+    compaction task: one cold group), staged by ``stage``
     (``_make_lake_side_stage``). Each file is read once per task, a row
     group at a time. A cold partition is one group and takes every row;
     a ``salted`` (hot) partition's rows go to their own salt's group, and
@@ -1485,20 +1511,6 @@ def _run_ingest(
     return report
 
 
-def _resolve_lww(group: pa.Table) -> pa.Table:
-    """Read-side LWW resolution for merge-on-read partitions: keep the
-    max-(warc_ts, seq) row per url within the partition group."""
-    t = group.combine_chunks().sort_by(
-        [("url", "ascending"), ("warc_ts", "ascending"), ("seq", "ascending")]
-    )
-    n = t.num_rows
-    if n > 1:
-        u = t.column("url").combine_chunks()
-        neq = pc.not_equal(u.slice(0, n - 1), u.slice(1, n - 1))
-        t = t.filter(pa.chunked_array([neq, pa.array([True])]))
-    return t
-
-
 def lookup_urls(lake_dir: str, urls: list[str]) -> "pa.Table":
     """Point lookup: read ONLY the partitions the urls hash to (the
     partition-pruned read path — at 10^10 scale this touches a handful of
@@ -1583,6 +1595,42 @@ def _prune_files_by_ts(
     return kept, pruned
 
 
+def _lake_view(
+    schema: pa.Schema,
+    mor: bool,
+    columns: list[str] | None = None,
+    live_only: bool = True,
+    lo_us: int | None = None,
+    hi_us: int | None = None,
+):
+    """The lake view as a function of a partition's files (or, under
+    copy-on-write, of one file): ``_partition_rows`` of only the columns
+    the view needs, LWW-resolved under merge-on-read, then the winning
+    version's ``warc_ts`` range filter, the tombstone filter
+    (``live_only``) and the projection to ``columns`` (default: every
+    column, the internal ones only when not ``live_only``)."""
+    internal = (DELETED_COLUMN, PKEY_COLUMN)
+    out = list(columns or [c for c in schema.names if not (live_only and c in internal)])
+    ranged = lo_us is not None or hi_us is not None
+    lo = -(1 << 63) if lo_us is None else lo_us
+    hi = (1 << 63) - 1 if hi_us is None else hi_us
+    need = out + [DELETED_COLUMN] * live_only + ["url", "warc_ts", "seq"] * mor
+    need += ["warc_ts"] * ranged
+    read_cols = [c for c in dict.fromkeys(need) if schema.get_field_index(c) >= 0]
+
+    def rows(files: list[str]) -> pa.Table:
+        t = _partition_rows(files, schema, read_cols, mor)
+        if ranged:
+            # exactness filter on the WINNING version's warc_ts (post-LWW)
+            ts = pc.cast(t.column("warc_ts"), pa.int64())
+            t = t.filter(pc.and_(pc.greater_equal(ts, lo), pc.less_equal(ts, hi)))
+        if live_only:
+            t = t.filter(pc.invert(t.column(DELETED_COLUMN)))
+        return t.select(out)
+
+    return rows
+
+
 def read_lake(
     lake_dir: str,
     live_only: bool = True,
@@ -1592,11 +1640,17 @@ def read_lake(
     ts_max=None,
 ) -> "ray.data.Dataset":
     """Dataset over the lake's manifested current files (only committed
-    data is ever visible). For merge-on-read lakes the per-partition LWW
-    resolution runs first (groupby pkey — partition-local, no cross-
-    partition exchange semantics). ``live_only`` filters tombstones and
-    drops the internal columns — the query-layer view, reference analog
-    of the SQL views over the results fact table (``models.py:241-284``).
+    data is ever visible), read partition-local: the lake is
+    hash-partitioned by url, so LWW resolution, filters and projection
+    all run inside the task that reads a partition, with no exchange.
+    Each read task takes a run of whole partitions (``_pack``: at most
+    ``READ_UNIT_BYTES`` of files, at least two tasks per CPU). A
+    copy-on-write partition yields a block per file; a merge-on-read
+    partition's delta stack is LWW-resolved whole. ``live_only`` filters
+    tombstones and drops the internal columns — the query-layer view,
+    reference analog of the SQL views over the results fact table
+    (``models.py:241-284``). ``columns`` projects the read itself, so
+    unrequested fat columns (html/text) never leave storage.
 
     ``asof_epoch`` (time travel): read the lake exactly as of that
     committed epoch — requires the lake to have been written with
@@ -1617,86 +1671,39 @@ def read_lake(
     from gene_etl_ray.state.manifest import read_manifest
 
     meta = read_lake_meta(lake_dir)
-    needs_resolve0 = bool(meta and meta.get("merge_mode") == "mor")
+    mor = bool(meta and meta.get("merge_mode") == "mor")
     lo_us, hi_us = _ts_us(ts_min), _ts_us(ts_max)
     if asof_epoch is None:
-        pkeys = sorted(current_files(lake_dir))
-        manifests = [read_manifest(lake_dir, k) for k in pkeys]
+        manifests = [read_manifest(lake_dir, k) for k in sorted(current_files(lake_dir))]
     else:
         P = (meta or {}).get("num_partitions", 0) or len(current_files(lake_dir))
         manifests = list(_snapshot_manifests(lake_dir, asof_epoch, P).values())
     if lo_us is not None or hi_us is not None:
-        files, _ = _prune_files_by_ts(
-            manifests, lo_us, hi_us, allow_upper=not needs_resolve0
-        )
+        parts = [_prune_files_by_ts([m], lo_us, hi_us, allow_upper=not mor)[0] for m in manifests]
     else:
-        files = [f for m in manifests if m for f in m["files"]]
-    internal = [DELETED_COLUMN, PKEY_COLUMN]
+        parts = [m["files"] for m in manifests if m]
+    parts = [fs for fs in parts if fs] if meta else []
+    schema = (
+        _schema_from_hex(meta["schema_hex"])
+        if meta
+        else pa.schema([("url", pa.string()), (DELETED_COLUMN, pa.bool_())])
+    )
+    view = [c for c in columns if schema.get_field_index(c) >= 0] if columns else None
+    if not parts:
+        empty = _lake_view(schema, False, view, live_only)([])
+        return _task_dataset("Lake", [lambda: empty])
+    if columns and len(view) != len(columns):
+        raise ValueError(f"read_lake: columns not in the lake schema: {sorted(set(columns) - set(view))}")
+    rows = _lake_view(schema, mor, view, live_only, lo_us, hi_us)
 
-    def empty_result() -> "ray.data.Dataset":
-        schema = (
-            _schema_from_hex(meta["schema_hex"]) if meta else pa.schema([("url", pa.string())])
-        )
-        t = schema.empty_table()
-        if live_only:
-            t = t.drop_columns([c for c in internal if c in t.schema.names])
-        if columns:
-            t = t.select([c for c in columns if c in t.schema.names])
-        return ray.data.from_arrow(t)
+    def blocks(unit: list[list[str]]):
+        for fs in unit:
+            yield from [rows(fs)] if mor else (rows([f]) for f in fs)
 
-    if not files:
-        return empty_result()
-    schema = _schema_from_hex(meta["schema_hex"]) if meta else None
-    needs_resolve = bool(meta and meta.get("merge_mode") == "mor")
-    if columns and schema is not None:
-        # push the projection into the read so unrequested fat columns
-        # (html/text) never leave storage. The LWW resolution / live
-        # filter still need the internal + merge-key columns — read the
-        # union, project to `columns` at the end. Ray 2.49 note:
-        # `columns=` + `partitioning=None` raises UnboundLocalError, but
-        # `columns=` + a SUBSET `schema=` under the default (hive)
-        # partitioning works on part= paths — the inferred partition key
-        # simply isn't selected — and null-backfills evolved files.
-        need = list(columns) + [DELETED_COLUMN, PKEY_COLUMN]
-        if needs_resolve:
-            need += ["url", "warc_ts", "seq"]
-        if lo_us is not None or hi_us is not None:
-            need += ["warc_ts"]
-        read_cols = [c for c in dict.fromkeys(need) if schema.get_field_index(c) >= 0]
-        sub_schema = pa.schema([schema.field(c) for c in read_cols])
-        ds = ray.data.read_parquet(
-            files, columns=read_cols, schema=sub_schema, meta_provider=_NO_FOOTER_PREFETCH
-        )
-    else:
-        # full-width read: `partitioning=None` (no columns=) avoids both
-        # the hive `part` column and the Ray 2.49 combination bug
-        ds = ray.data.read_parquet(
-            files, partitioning=None, schema=schema, meta_provider=_NO_FOOTER_PREFETCH
-        )
-    if needs_resolve:
-        ds = ds.groupby(PKEY_COLUMN).map_groups(_resolve_lww, batch_format="pyarrow")
-    if lo_us is not None or hi_us is not None:
-        # exactness filter on the WINNING version's warc_ts (post-LWW)
-        def ts_filter(b: pa.Table) -> pa.Table:
-            ts = pc.cast(b.column("warc_ts"), pa.int64())
-            mask = None
-            if lo_us is not None:
-                mask = pc.greater_equal(ts, lo_us)
-            if hi_us is not None:
-                hi_mask = pc.less_equal(ts, hi_us)
-                mask = hi_mask if mask is None else pc.and_(mask, hi_mask)
-            return b.filter(mask)
-
-        ds = ds.map_batches(ts_filter, batch_format="pyarrow")
-    if live_only:
-        def live(b: pa.Table) -> pa.Table:
-            b = b.filter(pc.invert(b.column(DELETED_COLUMN)))
-            return b.drop_columns(internal)
-
-        ds = ds.map_batches(live, batch_format="pyarrow")
-    if columns:
-        ds = ds.select_columns(list(columns))
-    return ds
+    # whole partitions packed into read units, so a lake of small
+    # partitions does not pay a task per partition
+    units = _pack(parts, [sum(map(os.path.getsize, fs)) for fs in parts], 2 * _ray_cpus())
+    return _task_dataset("Lake", [functools.partial(blocks, u) for u in units])
 
 
 def _snapshot_manifests(lake_dir: str, epoch: int, P: int) -> dict[int, dict | None]:
@@ -1753,16 +1760,18 @@ def diff_snapshots(
     Scale shape: both snapshots share the url→pkey partitioning, so the
     comparison is PARTITION-LOCAL — partitions whose archived manifests
     are identical at both epochs are skipped without reading a byte
-    (manifest-epoch comparison), and the rest are read column-pruned
-    (envelope only, never text/html), tagged per side, and outer-compared
-    per url inside one ``groupby(pkey)`` exchange.
+    (manifest-epoch comparison), and each of the rest is one task that
+    reads both sides' files column-pruned (envelope only, never
+    text/html), LWW-resolves each side and outer-compares them per url.
+    No exchange: the rows of a url are in its partition on both sides.
 
     ``payload_cols`` additionally carries those columns of each side's
     WINNING row on the feed as ``<col>_from`` / ``<col>_to`` — what a
     downstream delta consumer (see ``state.mview.refresh_view_delta``)
     needs to maintain an aggregate from changes alone. The payload is
     read only for touched partitions and emitted only for changed urls;
-    numeric payloads are cast to float64 for a stable block schema."""
+    numeric payloads are cast to float64 for a stable block schema, and
+    so are the seqs (an added or deleted url has one side null)."""
     meta = read_lake_meta(lake_dir)
     if meta is None:
         raise ValueError(f"no lake at {lake_dir}")
@@ -1772,79 +1781,53 @@ def diff_snapshots(
     schema = _schema_from_hex(meta["schema_hex"])
     snap_a = _snapshot_manifests(lake_dir, from_epoch, P)
     snap_b = _snapshot_manifests(lake_dir, to_epoch, P)
-    sides: list[tuple[list[str], int]] = [([], 0), ([], 1)]
+    # Crossing a repartition boundary, a url's pkey differs between the
+    # two snapshots' stored files — compare by its url FAMILY instead
+    # (pkey % P_at_from_epoch): growth is by integer factors, so children
+    # of old partition k all satisfy pkey ≡ k (mod P_old) and families
+    # are closed url sets on both sides. Without one, a family is a
+    # partition.
+    P_fam = _layout_at(meta, from_epoch)
+    families: dict[int, tuple[list[str], list[str]]] = {}
     any_manifest = False
     for k in range(P):
         ma, mb = snap_a[k], snap_b[k]
         any_manifest = any_manifest or mb is not None
         if (ma or {}).get("epoch") == (mb or {}).get("epoch"):
             continue  # untouched between the two snapshots: skip entirely
-        if ma:
-            sides[0][0].extend(ma["files"])
-        if mb:
-            sides[1][0].extend(mb["files"])
+        files_a, files_b = families.setdefault(k % P_fam, ([], []))
+        files_a.extend((ma or {}).get("files", []))
+        files_b.extend((mb or {}).get("files", []))
     if not any_manifest and current_files(lake_dir):
         raise ValueError(
             f"no archived manifests ≤ epoch {to_epoch} — was the lake "
             "written with retain_history=True?"
         )
     payload = list(payload_cols or [])
-    cols = ["url", "warc_ts", "seq", PKEY_COLUMN, DELETED_COLUMN] + payload
-    read_cols = [c for c in cols if schema.get_field_index(c) >= 0]
-    missing = [c for c in payload if c not in read_cols]
+    missing = [c for c in payload if schema.get_field_index(c) < 0]
     if missing:
         raise ValueError(f"payload_cols not in lake schema: {missing}")
-    sub_schema = pa.schema([schema.field(c) for c in read_cols])
-    empty_cols: dict[str, pa.Array] = {
-        "url": pa.array([], pa.string()),
-        "change": pa.array([], pa.string()),
-        "warc_ts_from": pa.array([], pa.timestamp("us")),
-        "seq_from": pa.array([], pa.int64()),
-        "warc_ts_to": pa.array([], pa.timestamp("us")),
-        "seq_to": pa.array([], pa.int64()),
-    }
-    for c in payload:
+    read_cols = ["url", "warc_ts", "seq", DELETED_COLUMN] + payload
+
+    def feed_type(c: str) -> pa.DataType:
+        # numbers (seq, numeric payloads) are float64: an unmatched side is NaN
         t = schema.field(c).type
-        t = pa.float64() if pa.types.is_integer(t) or pa.types.is_floating(t) else t
-        empty_cols[f"{c}_from"] = pa.array([], t)
-        empty_cols[f"{c}_to"] = pa.array([], t)
-    empty = pa.table(empty_cols)
-    tagged = []
-    for files, side in sides:
-        if not files:
-            continue
-        s = ray.data.read_parquet(files, columns=read_cols, schema=sub_schema)
-        tagged.append(
-            s.map_batches(
-                lambda b, _s=side: b.append_column(
-                    "__side", pa.array([_s] * b.num_rows, pa.int8())
-                ),
-                batch_format="pyarrow",
-            )
-        )
-    if not tagged:
-        return ray.data.from_arrow(empty)
-    both = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+        return pa.float64() if pa.types.is_integer(t) or pa.types.is_floating(t) else t
 
-    out_cols = ["url", "change", "warc_ts_from", "seq_from", "warc_ts_to", "seq_to"]
-    out_cols += [f"{c}_{s}" for c in payload for s in ("from", "to")]
-    numeric_payload = [
-        c for c in payload
-        if pa.types.is_integer(schema.field(c).type)
-        or pa.types.is_floating(schema.field(c).type)
-    ]
+    out_schema = pa.schema(
+        [("url", pa.string()), ("change", pa.string())]
+        + [(f"{c}_{s}", feed_type(c)) for s in ("from", "to") for c in ("warc_ts", "seq")]
+        + [(f"{c}_{s}", feed_type(c)) for c in payload for s in ("from", "to")]
+    )
 
-    def diff_group(g: pd.DataFrame) -> pd.DataFrame:
-        def live(side: int) -> pd.DataFrame:
-            s = g[g["__side"] == side]
-            # per-url LWW resolution (no-op for cow snapshots, required
-            # for mor delta stacks)
-            s = s.sort_values(["url", "warc_ts", "seq"], kind="mergesort")
-            s = s.drop_duplicates("url", keep="last")
-            return s.loc[~s[DELETED_COLUMN], ["url", "warc_ts", "seq"] + payload]
+    def diff_family(files_a: list[str], files_b: list[str]) -> pa.Table:
+        def live(files: list[str]):
+            t = _partition_rows(files, schema, read_cols, mor=True)
+            t = t.filter(pc.invert(t.column(DELETED_COLUMN)))
+            return t.drop_columns([DELETED_COLUMN]).to_pandas()
 
-        m = live(0).merge(
-            live(1), on="url", how="outer", suffixes=("_from", "_to"), indicator=True
+        m = live(files_a).merge(
+            live(files_b), on="url", how="outer", suffixes=("_from", "_to"), indicator=True
         )
         change = np.where(
             m["_merge"] == "right_only",
@@ -1853,29 +1836,12 @@ def diff_snapshots(
         )
         m = m.assign(change=change)
         same = (m["_merge"] == "both") & (m["seq_from"] == m["seq_to"])
-        m = m.loc[~same, out_cols]
-        # stable block schema: a group with no added/deleted rows would
-        # otherwise emit int64 seq columns while others emit float64
-        casts = {"seq_from": "float64", "seq_to": "float64"}
-        for c in numeric_payload:
-            casts[f"{c}_from"] = "float64"
-            casts[f"{c}_to"] = "float64"
-        return m.astype(casts)
+        return pa.Table.from_pandas(
+            m.loc[~same, out_schema.names], schema=out_schema, preserve_index=False
+        )
 
-    # Crossing a repartition boundary, a url's pkey differs between the
-    # two snapshots' stored files — group by its url FAMILY instead
-    # (pkey % P_at_from_epoch): growth is by integer factors, so children
-    # of old partition k all satisfy pkey ≡ k (mod P_old) and families
-    # are closed url sets on both sides. Same exchange, coarser key.
-    P_fam = _layout_at(meta, from_epoch)
-    if P_fam != P:
-        def add_fam(b: pa.Table) -> pa.Table:
-            pk = b.column(PKEY_COLUMN).to_numpy(zero_copy_only=False)
-            return b.append_column("__fam", pa.array(pk % P_fam, pa.int32()))
-
-        both = both.map_batches(add_fam, batch_format="pyarrow")
-        return both.groupby("__fam").map_groups(diff_group, batch_format="pandas")
-    return both.groupby(PKEY_COLUMN).map_groups(diff_group, batch_format="pandas")
+    fns = [functools.partial(diff_family, a, b) for _, (a, b) in sorted(families.items())]
+    return _task_dataset("Diff", fns or [out_schema.empty_table])
 
 
 def _layout_at(meta: dict, epoch: int) -> int:
@@ -1892,10 +1858,12 @@ def _layout_at(meta: dict, epoch: int) -> int:
 
 def compact_lake(cfg: EngineConfig, cluster_rows: int | None = None) -> dict:
     """Fold a merge-on-read partition's delta files back into one file per
-    partition (manifest REPLACE at the current epoch). Uses the same
-    merge/commit machinery as cow ingest, so compaction inherits the
-    exactly-once protocol: a crash mid-compaction leaves the old manifests
-    pointing at the old files.
+    partition (manifest REPLACE at the current epoch). One task per
+    partition reads its files and runs the same LWW merge and file writer
+    as cow ingest (``_make_merge_fn``); no exchange, since a partition's
+    rows are already in its files. The commit is ingest's too, so
+    compaction inherits the exactly-once protocol: a crash
+    mid-compaction leaves the old manifests pointing at the old files.
 
     ``cluster_rows``: time-CLUSTERED compaction — instead of one file per
     partition, winners are sorted by ``warc_ts`` and written as files of
@@ -2055,7 +2023,6 @@ def _compact_locked(
         multi = {k: fs for k, fs in by_part.items() if len(fs) > 1}
     if not multi:
         return {"compacted": 0}
-    files = [f for fs in multi.values() for f in fs]
     # bounded tombstone retention: compaction is where MOR lakes shed
     # delete markers older than the lateness cutoff (cow sheds them in
     # the merge itself) — admission has already made them unbeatable
@@ -2064,30 +2031,27 @@ def _compact_locked(
         w = event_time_watermark(lake_dir)
         gc_cutoff = w - cfg.allowed_lateness_us if w is not None else None
     stage = _make_lake_side_stage(cfg, target)
-    staged = ray.data.read_parquet(
-        files, partitioning=None, schema=target, meta_provider=_NO_FOOTER_PREFETCH
-    ).map_batches(lambda b: _bucket_sort(stage(b)), batch_size=None, batch_format="pyarrow")
-    P, S = cfg.num_partitions, cfg.salt_factor
-    merged, _ = _merge_exchange(
-        staged,
-        _make_merge_fn(
-            lake_dir,
-            epoch,
-            tag="-compact" if transform is None else "-transform",
-            drop_tombstones_before_us=gc_cutoff,
-            cluster_rows=cluster_rows,
-            transform=transform,
-        ),
-        S,
-        _exchange_width(
-            _ray_cpus(),
-            sum(os.path.getsize(f) for f in files),
-            P * S,
-        ),
-        cfg.hot_partition_threshold,
+    merge = _make_merge_fn(
+        lake_dir,
+        epoch,
+        tag="-compact" if transform is None else "-transform",
+        drop_tombstones_before_us=gc_cutoff,
+        cluster_rows=cluster_rows,
+        transform=transform,
+    )
+    S = cfg.salt_factor
+
+    def compact_one(pkey: int, files: list[str]) -> pa.Table:
+        # a partition is one cold merge group (gkey = pkey·S), which
+        # names its file as the ingest merge would
+        (rows,) = _stored_rows(files, stage, [pkey * S], salted=False).values()
+        return merge(pa.concat_tables([stage(target.empty_table()), *rows]), pkey, pkey * S)
+
+    merged = _task_table(
+        "Compact", [functools.partial(compact_one, k, fs) for k, fs in sorted(multi.items())]
     )
     by_pkey: dict[int, list[dict]] = {}
-    for r in pa.concat_tables(merged).to_pylist():
+    for r in merged.to_pylist():
         by_pkey.setdefault(int(r["pkey"]), []).append(r)
     from gene_etl_ray.state.lock import heartbeat
 
@@ -2166,9 +2130,10 @@ def transform_lake(
     files, the two-phase manifest REPLACE at the current epoch flips
     each partition atomically, and a crash mid-way leaves old manifests
     pointing at old files (re-run to finish — fn determinism makes the
-    retry converge). One wide exchange (the same gkey merge exchange as
-    ingest/compaction); lineage records carry ``kind="transform"`` and apply
-    no events, so the epoch-accounting consistency checks stay exact.
+    retry converge). One task per partition, no exchange (compaction's
+    per-partition merge); lineage records carry ``kind="transform"`` and
+    apply no events, so the epoch-accounting consistency checks stay
+    exact.
 
     Refused under ``retain_history``: archived snapshots reference the
     same epochs this rewrite replaces, and a backfill that silently
@@ -2288,6 +2253,13 @@ def _named_transform(op: str):
     return fn, fields
 
 
+#: one row per child file a repartition split task writes
+SPLIT_ROW_SCHEMA = pa.schema(
+    [("parent", pa.int32()), ("epoch", pa.int64())]
+    + [f for f in MANIFEST_ROW_SCHEMA if f.name != "gkey"]
+)
+
+
 def repartition_lake(cfg: EngineConfig, factor: int) -> dict:
     """Online partition scale-out: grow the lake's partition count by an
     integer ``factor`` (P_new = P_old × factor) — the operation a
@@ -2368,84 +2340,66 @@ def repartition_lake(cfg: EngineConfig, factor: int) -> dict:
                     "files": 0, "rows": 0, "duration_sec": time.time() - t0}
         parents = {k: read_manifest(lake_dir, k) for k in by_part}
         target = _schema_from_hex(meta["schema_hex"])
-        target_hex = meta["schema_hex"]
 
-        def split_parent(batch: "pd.DataFrame") -> "pd.DataFrame":
+        def split_parent(k: int, epoch: int, files: list[str]) -> pa.Table:
             """One task per old partition: read → LWW-resolve → split by
             H(url) % P_new into ≤F child tmp files (bounded row groups +
             bloom sidecars, same as merge tasks)."""
-            import pandas as pd
-
             from gene_etl_ray.hashing import hash_urls
 
-            tgt = _schema_from_hex(target_hex)
             out: list[dict] = []
-            for _, row in batch.iterrows():
-                k = int(row["pkey"])
-                epoch = int(row["epoch"])
-                t = pa.concat_tables(
-                    [conform_table(pq.read_table(f), tgt) for f in row["files"]]
+            t = _partition_rows(files, target, mor=True)  # no-op for cow; folds mor delta stacks
+            urls = t.column("url").to_numpy(zero_copy_only=False)
+            pk_new = (hash_urls(urls) % np.uint64(P_new)).astype(np.int32)
+            # row-conservation guard BEFORE anything becomes durable:
+            # every resolved row must land in one of this parent's F
+            # children (H % (P·F) ≡ k (mod P) for every url stored
+            # under k) — a violation means the hash fn or the stored
+            # layout is inconsistent, and committing would silently
+            # lose rows
+            if not ((pk_new % P_old) == k).all():
+                stray = int(((pk_new % P_old) != k).sum())
+                raise RuntimeError(
+                    f"repartition residue violation: {stray} rows of "
+                    f"partition {k} hash outside its family — lake "
+                    "layout and hash function disagree; aborting "
+                    "before the flip"
                 )
-                t = _resolve_lww(t)  # no-op for cow; folds mor delta stacks
-                urls = t.column("url").to_numpy(zero_copy_only=False)
-                pk_new = (hash_urls(urls) % np.uint64(P_new)).astype(np.int32)
-                # row-conservation guard BEFORE anything becomes durable:
-                # every resolved row must land in one of this parent's F
-                # children (H % (P·F) ≡ k (mod P) for every url stored
-                # under k) — a violation means the hash fn or the stored
-                # layout is inconsistent, and committing would silently
-                # lose rows
-                if not ((pk_new % P_old) == k).all():
-                    stray = int(((pk_new % P_old) != k).sum())
-                    raise RuntimeError(
-                        f"repartition residue violation: {stray} rows of "
-                        f"partition {k} hash outside its family — lake "
-                        "layout and hash function disagree; aborting "
-                        "before the flip"
-                    )
-                pk_idx = t.schema.get_field_index(PKEY_COLUMN)
-                t = t.set_column(pk_idx, PKEY_COLUMN, pa.array(pk_new, pa.int32()))
-                for j in range(factor):
-                    m = k + j * P_old
-                    sub = t.filter(pc.equal(t.column(PKEY_COLUMN), m))
-                    if sub.num_rows == 0:
-                        continue
-                    part_dir = os.path.join(lake_dir, f"part={m:05d}")
-                    os.makedirs(part_dir, exist_ok=True)
-                    path = os.path.join(
-                        part_dir, f".tmp-epoch={epoch:05d}-g{m:09d}-repart.parquet"
-                    )
-                    pq.write_table(sub, path, row_group_size=16384)
-                    _fsync_file(path)
-                    _write_bloom_sidecar(path, sub.column("url").to_pylist())
-                    live = sub.num_rows - (
-                        pc.sum(sub.column(DELETED_COLUMN)).as_py() or 0
-                    )
-                    ts = pc.cast(sub.column("warc_ts"), pa.int64())
-                    out.append(
-                        {
-                            "pkey": m, "parent": k, "epoch": epoch, "path": path,
-                            "rows": sub.num_rows, "live_rows": int(live),
-                            "max_seq": pc.max(sub.column("seq")).as_py(),
-                            "ts_min_us": pc.min(ts).as_py(),
-                            "ts_max_us": pc.max(ts).as_py(),
-                        }
-                    )
-            return pd.DataFrame(
-                out,
-                columns=["pkey", "parent", "epoch", "path", "rows",
-                         "live_rows", "max_seq", "ts_min_us", "ts_max_us"],
-            )
+            pk_idx = t.schema.get_field_index(PKEY_COLUMN)
+            t = t.set_column(pk_idx, PKEY_COLUMN, pa.array(pk_new, pa.int32()))
+            for j in range(factor):
+                m = k + j * P_old
+                sub = t.filter(pc.equal(t.column(PKEY_COLUMN), m))
+                if sub.num_rows == 0:
+                    continue
+                part_dir = os.path.join(lake_dir, f"part={m:05d}")
+                os.makedirs(part_dir, exist_ok=True)
+                path = os.path.join(
+                    part_dir, f".tmp-epoch={epoch:05d}-g{m:09d}-repart.parquet"
+                )
+                pq.write_table(sub, path, row_group_size=16384)
+                _fsync_file(path)
+                _write_bloom_sidecar(path, sub.column("url").to_pylist())
+                live = sub.num_rows - (pc.sum(sub.column(DELETED_COLUMN)).as_py() or 0)
+                ts = pc.cast(sub.column("warc_ts"), pa.int64())
+                out.append(
+                    {
+                        "pkey": m, "parent": k, "epoch": epoch, "path": path,
+                        "rows": sub.num_rows, "live_rows": int(live),
+                        "max_seq": pc.max(sub.column("seq")).as_py(),
+                        "ts_min_us": pc.min(ts).as_py(),
+                        "ts_max_us": pc.max(ts).as_py(),
+                    }
+                )
+            return pa.Table.from_pylist(out, schema=SPLIT_ROW_SCHEMA)
 
-        items = [
-            {"pkey": k, "epoch": int(parents[k]["epoch"]), "files": fs}
-            for k, fs in sorted(by_part.items())
-        ]
-        rows = (
-            ray.data.from_items(items)
-            .map_batches(split_parent, batch_size=1, batch_format="pandas")
-            .to_pandas()
-        )
+        rows = _task_table(
+            "Split",
+            [
+                functools.partial(split_parent, k, int(parents[k]["epoch"]), fs)
+                for k, fs in sorted(by_part.items())
+            ],
+        ).to_pandas()
 
         # phase 1.5: rename tmp → final (finals without a manifest entry
         # stay invisible; deterministic names make a redo overwrite-safe)
@@ -2719,13 +2673,11 @@ def validate_lake(lake_dir: str) -> dict:
     ``validate.py:87-137``'s result checks). Invariants per merge mode:
     cow — one stored row per url per PARTITION; mor — one row per url per
     FILE (delta files overlap by design; the resolved live view's
-    uniqueness is what read_lake guarantees). Runs DISTRIBUTED: a
-    column-pruned url read keyed by file/partition, then a groupby
-    count-vs-count-distinct per key — no driver-side url sets. Also
+    uniqueness is what read_lake guarantees). Runs DISTRIBUTED, one task
+    per partition: a url-only read of its files, count vs count-distinct
+    per partition (cow) or file (mor) — no driver-side url sets. Also
     reconciles cow manifest row counts against the actual files (the
     cross-set consistency check, ``validate.py:289-346`` analog)."""
-    import pandas as pd
-
     from gene_etl_ray.state.manifest import read_manifest
 
     meta = read_lake_meta(lake_dir)
@@ -2737,41 +2689,33 @@ def validate_lake(lake_dir: str) -> dict:
         "mode": "mor" if mor else "cow",
     }
     files_by_part = current_files(lake_dir)
-    all_files = [f for fs in files_by_part.values() for f in fs]
-    if not all_files:
+    if not any(files_by_part.values()):
         return checks
+    url_only = pa.schema([("url", pa.string())])
 
-    ds = ray.data.read_parquet(all_files, columns=["url"], include_paths=True)
-
-    def keyed(b: pd.DataFrame) -> pd.DataFrame:
-        key = b["path"] if mor else b["path"].str.extract(r"(part=\d+)", expand=False)
-        return pd.DataFrame({"key": key, "url": b["url"]})
-
-    def check_group(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
+    def check_partition(k: int, files: list[str]) -> pa.Table:
+        urls = [
+            _partition_rows(fs, url_only).column("url")
+            for fs in ([[f] for f in files] if mor else [files])
+        ]
+        return pa.table(
             {
-                "key": [g["key"].iloc[0]],
-                "rows": [len(g)],
-                "dup": [g["url"].nunique() != len(g)],
+                "pkey": [k],
+                "rows": [sum(len(u) for u in urls)],
+                "dup": [any(pc.count_distinct(u).as_py() != len(u) for u in urls)],
             }
         )
 
-    res = (
-        ds.map_batches(keyed, batch_format="pandas")
-        .groupby("key")
-        .map_groups(check_group, batch_format="pandas")
-        .to_pandas()
-    )
-    checks["one_row_per_url"] = not bool(res["dup"].any())
-    checks["rows"] = int(res["rows"].sum())
+    res = _task_table(
+        "Validate",
+        [functools.partial(check_partition, k, fs) for k, fs in sorted(files_by_part.items()) if fs],
+    ).to_pylist()
+    checks["one_row_per_url"] = not any(r["dup"] for r in res)
+    checks["rows"] = sum(r["rows"] for r in res)
     if not mor:
-        actual = {
-            int(k.split("=")[1]): int(r)
-            for k, r in zip(res["key"], res["rows"])
-        }
+        actual = {r["pkey"]: r["rows"] for r in res}
         for pkey in files_by_part:
-            m = read_manifest(lake_dir, pkey)
-            want = (m or {}).get("stats", {}).get("rows")
+            want = (read_manifest(lake_dir, pkey) or {}).get("stats", {}).get("rows")
             if want is not None and actual.get(pkey, 0) != want:
                 checks["manifest_rows_match"] = False
     return checks
@@ -2788,7 +2732,8 @@ def export_lake(
     """RESUMABLE partitioned export of the live view: one output
     directory per lake partition, the file named by the partition's
     manifest epoch (``part=<k>/data.epoch=<E>.parquet``), each written
-    by its own Ray task via tmp + atomic rename. A re-run (a) SKIPS
+    by its own read task (the ``read_lake`` view of the partition) via
+    tmp + atomic rename. A re-run (a) SKIPS
     partitions whose current epoch is already exported — a failed
     100-TB export resumes where it died instead of rewriting finished
     shards — and (b) re-exports partitions the lake has since committed
@@ -2818,7 +2763,6 @@ def export_lake(
     if meta is None:
         return {"partitions": 0, "exported": 0, "skipped": 0, "rows": 0}
     mor = meta.get("merge_mode") == "mor"
-    schema_hex = meta["schema_hex"]
     files_by_part = current_files(lake_dir)
     if fmt not in ("parquet", "jsonl"):
         raise ValueError(f"export_lake: unknown fmt {fmt!r}")
@@ -2828,35 +2772,10 @@ def export_lake(
     ).hexdigest()[:8]
     os.makedirs(out_dir, exist_ok=True)
 
-    @ray.remote(num_cpus=1)
-    def export_one(k: int, files: list[str], epoch: int) -> int:
-        schema = _schema_from_hex(schema_hex)
-        need = None
-        if columns:
-            want = list(columns) + ([DELETED_COLUMN] if live_only else [])
-            if mor:
-                want += ["url", "warc_ts", "seq"]
-            need = [c for c in dict.fromkeys(want)
-                    if schema.get_field_index(c) >= 0]
-            sub = pa.schema([schema.field(c) for c in need])
-        target = sub if need else schema
-        tabs = []
-        for f in files:
-            have = pq.read_schema(f).names
-            t = pq.read_table(f, columns=[c for c in (need or schema.names)
-                                          if c in have])
-            tabs.append(conform_table(t, target))
-        t = pa.concat_tables(tabs) if tabs else target.empty_table()
-        if mor and t.num_rows:
-            t = _resolve_lww(t)
-        if live_only:
-            t = t.filter(pc.invert(t.column(DELETED_COLUMN)))
-            t = t.drop_columns(
-                [c for c in (DELETED_COLUMN, PKEY_COLUMN)
-                 if c in t.schema.names]
-            )
-        if columns:
-            t = t.select(list(columns))
+    rows_of = _lake_view(_schema_from_hex(meta["schema_hex"]), mor, columns, live_only)
+
+    def export_one(k: int, files: list[str], epoch: int) -> pa.Table:
+        t = rows_of(files)
         pdir = os.path.join(out_dir, f"part={k:05d}")
         os.makedirs(pdir, exist_ok=True)
         dest = os.path.join(
@@ -2887,10 +2806,10 @@ def export_lake(
                     os.remove(p)
                 except OSError:
                     pass
-        return t.num_rows
+        return pa.table({"rows": [t.num_rows]})
 
     exported = skipped = 0
-    futs = []
+    tasks = []
     for k in sorted(files_by_part):
         # ONE snapshot per partition: epoch AND files from the same read,
         # never the earlier current_files() listing (TOCTOU vs a
@@ -2907,9 +2826,9 @@ def export_lake(
         if resume and os.path.exists(dest):
             skipped += 1
             continue
-        futs.append(export_one.remote(k, list(m["files"]), epoch))
+        tasks.append(functools.partial(export_one, k, list(m["files"]), epoch))
         exported += 1
-    rows = int(sum(ray.get(futs))) if futs else 0
+    rows = pc.sum(_task_table("Export", tasks).column("rows")).as_py() if tasks else 0
     return {
         "partitions": len(files_by_part),
         "exported": exported,

@@ -11,9 +11,10 @@ increment the CDC commits touched, so a refresh after a commit group is
 O(touched partitions) regardless of lake size (the reference recomputes
 its summary views from the full results table per run,
 ``models.py:241-284``; this is the incremental equivalent). The shard
-computation runs distributed: a column-pruned read of just the stale
-partitions' files, ``groupby(pkey).map_groups`` so each shard is written
-by the task holding that partition — bulk rows never visit the driver.
+computation runs distributed, one task per stale partition: a
+column-pruned read of its files (``_partition_rows``, LWW-resolved under
+merge-on-read), aggregated and written as the shard by that task — no
+exchange, and bulk rows never visit the driver.
 
 Shard writes are atomic (tmp + ``os.replace``) and idempotent: a crashed
 refresh leaves either the old shard or the new one, never a torn file,
@@ -30,6 +31,7 @@ partition), independent of row count.
 
 from __future__ import annotations
 
+import functools
 import glob
 import os
 import re
@@ -40,7 +42,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray.data
 
 DOMAIN_VIEW = "domain_stats"
 _SHARD_RE = re.compile(r"part=(\d+)\.epoch=(\d+)\.parquet$")
@@ -66,12 +67,9 @@ def shard_epochs(lake_dir: str, view: str = DOMAIN_VIEW) -> dict[int, tuple[int,
     return out
 
 
-def _domain_stats_shard(group: pa.Table, mor: bool) -> pd.DataFrame:
-    """Per-domain live stats for one partition's rows (pre-aggregated)."""
-    if mor:
-        from gene_etl_ray.pipelines.ingest import _resolve_lww
-
-        group = _resolve_lww(group)
+def _domain_stats_shard(group: pa.Table) -> pd.DataFrame:
+    """Per-domain live stats for one partition's (LWW-resolved) rows,
+    pre-aggregated."""
     live = group.filter(pc.invert(group.column("is_deleted")))
     df = pd.DataFrame(
         {
@@ -92,7 +90,12 @@ def _domain_stats_shard(group: pa.Table, mor: bool) -> pd.DataFrame:
 def refresh_view(lake_dir: str, view: str = DOMAIN_VIEW) -> dict:
     """Bring the view's shards up to the lake's manifests. Returns
     ``{"refreshed": [pkeys...], "fresh": n_already_current}``."""
-    from gene_etl_ray.pipelines.ingest import _schema_from_hex, read_lake_meta
+    from gene_etl_ray.pipelines.ingest import (
+        _partition_rows,
+        _schema_from_hex,
+        _task_table,
+        read_lake_meta,
+    )
     from gene_etl_ray.state.manifest import read_manifest
 
     assert view == DOMAIN_VIEW, f"unknown view {view!r}"
@@ -119,34 +122,24 @@ def refresh_view(lake_dir: str, view: str = DOMAIN_VIEW) -> dict:
     _gc_stale_tmps(out_dir)
     schema = _schema_from_hex(meta["schema_hex"])
     mor = meta.get("merge_mode") == "mor"
-    need = ["url", "text", "pkey", "is_deleted"] + (["warc_ts", "seq"] if mor else [])
+    need = ["url", "text", "is_deleted"] + (["warc_ts", "seq"] if mor else [])
     read_cols = [c for c in need if schema.get_field_index(c) >= 0]
-    sub_schema = pa.schema([schema.field(c) for c in read_cols])
-    files = [f for m in stale.values() for f in m["files"]]
-    epochs = {k: m["epoch"] for k, m in stale.items()}
 
-    def write_shard(group: pa.Table) -> pd.DataFrame:
-        k = group.column("pkey")[0].as_py()
-        agg = _domain_stats_shard(group, mor)
-        e = epochs[int(k)]
-        final = os.path.join(out_dir, f"part={int(k):05d}.epoch={e:05d}.parquet")
+    def write_shard(k: int, files: list[str], e: int) -> pa.Table:
+        agg = _domain_stats_shard(_partition_rows(files, schema, read_cols, mor))
+        final = os.path.join(out_dir, f"part={k:05d}.epoch={e:05d}.parquet")
         tmp = final + f".tmp{os.getpid()}"
         pq.write_table(pa.Table.from_pandas(agg, schema=_SHARD_SCHEMA), tmp)
         os.replace(tmp, final)
-        return pd.DataFrame({"pkey": [int(k)], "epoch": [e], "domains": [len(agg)]})
+        return pa.table({"pkey": [k]})
 
-    ds = ray.data.read_parquet(files, columns=read_cols, schema=sub_schema)
-    report = ds.groupby("pkey").map_groups(write_shard, batch_format="pyarrow").to_pandas()
-    # zero groups (every stale partition's files hold 0 rows) loses the schema
-    done = set(report["pkey"].tolist()) if "pkey" in report.columns else set()
-    # a stale partition whose files hold 0 rows produces no group — its
-    # live set is empty; publish an empty shard so it stops reading stale
-    for k in set(stale) - done:
-        e = epochs[k]
-        final = os.path.join(out_dir, f"part={k:05d}.epoch={e:05d}.parquet")
-        tmp = final + f".tmp{os.getpid()}"
-        pq.write_table(_SHARD_SCHEMA.empty_table(), tmp)
-        os.replace(tmp, final)
+    _task_table(
+        "ViewShards",
+        [
+            functools.partial(write_shard, k, m["files"], m["epoch"])
+            for k, m in sorted(stale.items())
+        ],
+    )
     # GC superseded shards (after the new ones are visible)
     fresh = shard_epochs(lake_dir, view)
     for p in glob.glob(os.path.join(out_dir, "part=*.parquet")):

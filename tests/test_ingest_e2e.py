@@ -521,11 +521,14 @@ def test_mixed_case_urls_converge(tmp_events, tmp_lake):
     assert_matches_oracle(tmp_lake, tmp_events)
 
 
-def test_read_lake_column_projection(tmp_events, tmp_lake, tmp_path):
+def test_read_lake_column_projection(tmp_events, tmp_lake, tmp_path, monkeypatch):
     """read_lake(columns=...) works with the default live view in BOTH
     sink modes (regression: the live filter used to reference internal
-    columns after the projection dropped them; also exercises the Ray
-    2.49 columns+partitioning=None workaround)."""
+    columns after the projection dropped them), null-backfills a column
+    added mid-stream in the files written before the add, and resolves a
+    merge-on-read lake partition-local, with no shuffle."""
+    from gene_etl_ray.pipelines.ingest import _op_secs
+
     generate_events(tmp_events, n_urls=120, n_events=500, n_epochs=2)
     run_ingest(EngineConfig(lake_dir=tmp_lake, num_partitions=4), tmp_events)
     df = read_lake(tmp_lake, columns=["url", "text"]).to_pandas()
@@ -539,6 +542,47 @@ def test_read_lake_column_projection(tmp_events, tmp_lake, tmp_path):
         df.sort_values("url").reset_index(drop=True),
         df2.sort_values("url").reset_index(drop=True),
     )
+
+    # the merge-on-read count runs read tasks only: no sort/shuffle stage
+    executed = []
+    real_iter = ray.data.Dataset.iter_batches
+
+    def spy(self, *a, **k):
+        executed.append(self)
+        return real_iter(self, *a, **k)
+
+    monkeypatch.setattr(ray.data.Dataset, "iter_batches", spy)
+    assert read_lake(lake_b, columns=["url", "text"]).count() == len(df2)
+    monkeypatch.undo()
+    ops = list(_op_secs(*executed))
+    assert ops and not [
+        op for op in ops if any(s in op for s in ("Sort", "Shuffle", "AllToAll", "Repartition"))
+    ], ops
+
+    # mid-stream schema add, one commit per segment: under merge-on-read
+    # the deltas written before the add lack the column and must read
+    # back null-backfilled, LWW-resolved with the later deltas
+    ev_add = str(tmp_path / "events_add")
+    generate_events(ev_add, n_urls=120, n_events=500, n_epochs=4, schema_add_epoch=2)
+    want = ["url", "warc_ts", "fetch_status"]
+    got = {}
+    for mode in ("cow", "mor"):
+        lake = str(tmp_path / f"lake_add_{mode}")
+        run_ingest(
+            EngineConfig(lake_dir=lake, num_partitions=4, merge_mode=mode, epochs_per_commit=1),
+            ev_add,
+        )
+        got[mode] = read_lake(lake, columns=want).to_pandas().sort_values("url")
+        assert list(got[mode].columns) == want
+    pre_add = [
+        f for fs in current_files(str(tmp_path / "lake_add_mor")).values() for f in fs
+        if "fetch_status" not in pq.read_schema(f).names
+    ]
+    assert pre_add, "the merge-on-read lake keeps deltas written before the add"
+    gold = replay_oracle(ev_add)[want].sort_values("url").reset_index(drop=True)
+    for mode in ("cow", "mor"):
+        pd.testing.assert_frame_equal(got[mode].reset_index(drop=True), gold, check_dtype=False)
+    assert got["mor"]["fetch_status"].isna().any() and got["mor"]["fetch_status"].notna().any()
 
 
 class TestMaterializedView:

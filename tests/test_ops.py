@@ -207,6 +207,34 @@ class TestText:
                for k, n, s in out[["k", "n", "s"]].itertuples(index=False)}
         assert got == {5: (2, 4), 7: (1, 2), -1: (2, 9)}
 
+    def test_bucketed_group_apply_int_and_float_blocks_share_buckets(self):
+        """A key column that is int64 in one block and float64 in another
+        (an int column that carried a null, upcast by pandas) must send
+        each key value to one bucket: 5 and 5.0 fold to one group, and a
+        float NaN and an int null fold to the null group. 1024 buckets
+        make a chance collision of a split key unlikely."""
+        import pyarrow as pa
+        import ray.data as rd
+
+        from gene_etl_ray.ops.dedup import bucketed_group_apply
+
+        blocks = [
+            pa.table({"k": pa.array([5, 7], pa.int64()), "v": pa.array([1, 2], pa.int64())}),
+            pa.table({"k": pa.array([5.0, None], pa.float64()), "v": pa.array([3, 4], pa.int64())}),
+            pa.table({"k": pa.array([None], pa.int64()), "v": pa.array([5], pa.int64())}),
+        ]
+
+        def per_key(g: pd.DataFrame) -> pd.DataFrame:
+            return g.groupby("k", dropna=False, as_index=False).agg(
+                n=("v", "size"), s=("v", "sum"))
+
+        out = bucketed_group_apply(
+            rd.from_arrow(blocks), ["k"], per_key, num_buckets=1024).to_pandas()
+        assert len(out) == 3, out
+        got = {(-1 if pd.isna(k) else int(k)): (int(n), int(s))
+               for k, n, s in out[["k", "n", "s"]].itertuples(index=False)}
+        assert got == {5: (2, 4), 7: (1, 2), -1: (2, 9)}
+
     def test_pmi_collocations_hand_counts(self):
         """Toy corpus where PMI is hand-derivable: 'new york' occurs 6x
         and its tokens occur nowhere else as that (left,right) marginal
