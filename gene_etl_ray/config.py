@@ -44,9 +44,6 @@ class EngineConfig:
         and per-partition counts in the merge exchange's read tasks, and
         html→text extraction runs on the LWW winners only, inside the
         merge.
-    drop_tombstones_on_read: live-view reads filter deleted urls; the
-        stored partitions always retain tombstones so late out-of-order
-        events with older versions cannot resurrect a deleted url.
     """
 
     lake_dir: str
@@ -55,7 +52,6 @@ class EngineConfig:
     hot_partition_threshold: int = 200_000
     epochs_per_commit: int = 1
     keep_html: bool = False
-    drop_tombstones_on_read: bool = True
     # sink strategy: "cow" (copy-on-write — each commit rewrites touched
     # partitions; reads are plain scans) or "mor" (merge-on-read — each
     # commit APPENDS a per-partition LWW-deduped delta file; reads resolve

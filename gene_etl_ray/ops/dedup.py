@@ -45,6 +45,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from gene_etl_ray.hashing import hash_keys, hash_objects
 from gene_etl_ray.ops.util import per_process, typed_if_empty
 
 logger = logging.getLogger(__name__)
@@ -62,10 +63,6 @@ def _mix64(x: np.ndarray) -> np.ndarray:
         0xFFFFFFFFFFFFFFFF
     )
     return x ^ (x >> np.uint64(31))
-
-
-def _hash_strings(vals: list[str]) -> np.ndarray:
-    return pd.util.hash_array(np.asarray(vals, dtype=object), categorize=False)
 
 
 #: task-count bound for bucketed group-applies — the shuffle cost model is
@@ -143,85 +140,19 @@ def bucketed_group_apply(
     numpy group boundaries). Deterministic across processes (siphash with
     pandas' fixed key, as content_hash already relies on).
 
-    ``num_buckets`` defaults ADAPTIVELY: each bucket is one task holding
-    its whole frame in worker memory, so the count scales with the
-    input's on-disk bytes at ~256 MB/bucket, floored at ``GROUP_BUCKETS``
-    for parallelism and capped at 4096 (the same ceiling as the read-block
-    sizing). The byte estimate comes from ``input_files()`` — pure
-    metadata, NEVER triggers execution (``size_bytes()`` would execute a
-    lazy chain, measured) — so it is available exactly when ``ds`` is a
-    direct file read and harmlessly absent through transform chains,
-    where callers with size knowledge pass an explicit count. Bucket
-    count never affects correctness, only task granularity."""
+    ``num_buckets`` defaults to ``_adaptive_buckets`` over ``ds``, floored
+    at ``GROUP_BUCKETS``: each bucket is one task holding its whole frame
+    in worker memory. Bucket count never affects correctness, only task
+    granularity."""
+    from gene_etl_ray.ops.relational import _adaptive_buckets
+
     if num_buckets is None:
-        num_buckets = GROUP_BUCKETS
-        try:
-            files = ds.input_files()
-            sz = sum(
-                _os.path.getsize(f.replace("local://", "")) for f in files
-            )
-            if sz:
-                num_buckets = int(min(max(GROUP_BUCKETS, sz // (256 << 20)), 4096))
-        except Exception:
-            pass
+        num_buckets = _adaptive_buckets(ds, floor=GROUP_BUCKETS)
 
     def add_bucket(t: "pa.Table") -> "pa.Table":
-        # Arrow-native (r4 verdict item 3): only the KEY columns are
-        # hashed — fat payload columns (document text, binary) stay
-        # zero-copy Arrow instead of round-tripping the whole batch
-        # through pandas object boxing per batch.
-        if t.num_rows == 0:
-            return t.append_column(
-                "__bucket", pa.array([], type=pa.int64()))
-        h = None
-        for k in keys:
-            col = t.column(k)
-            # Hash choice must depend ONLY on the column TYPE, never on
-            # whether THIS block happens to contain nulls — a per-block
-            # branch would send the same key value to different buckets
-            # in null-free vs null-carrying blocks, splitting a group
-            # across buckets (review-caught). Numeric nulls take a
-            # fixed hash (one bucket for the null group, any constant
-            # is consistent within a run).
-            if pa.types.is_integer(col.type):
-                if col.null_count:
-                    # fill_null keeps int64 (no lossy float upcast for
-                    # ids ≥ 2^53), then overwrite null slots' hashes
-                    import pyarrow.compute as _pc
-
-                    filled = _pc.fill_null(col, 0).to_numpy(
-                        zero_copy_only=False).astype(np.int64, copy=False)
-                    hk = pd.util.hash_array(filled)
-                    hk[_pc.is_null(col).to_numpy(
-                        zero_copy_only=False)] = np.uint64(
-                            0xD1B54A32D192ED03)
-                else:
-                    hk = pd.util.hash_array(
-                        col.to_numpy(zero_copy_only=False).astype(
-                            np.int64, copy=False))
-            elif pa.types.is_floating(col.type):
-                # an int key block that carried a null arrives float64
-                # (pandas upcast): losslessly-integral values take the
-                # int64 hash, as BloomFilter._positions does, so 5 and
-                # 5.0 share a bucket; NaN takes the null hash
-                v = col.to_numpy(zero_copy_only=False).astype(
-                    np.float64, copy=False)
-                with np.errstate(invalid="ignore"):
-                    integral = (np.isfinite(v) & (np.floor(v) == v)
-                                & (np.abs(v) < 2.0 ** 63))
-                frac = ~integral & ~np.isnan(v)
-                hk = np.full(
-                    len(v), np.uint64(0xD1B54A32D192ED03), dtype=np.uint64)
-                hk[integral] = pd.util.hash_array(v[integral].astype(np.int64))
-                hk[frac] = pd.util.hash_array(v[frac])
-            else:
-                hk = pd.util.hash_array(
-                    np.asarray(col.to_pylist(), dtype=object),
-                    categorize=False)
-            h = hk if h is None else (
-                h * np.uint64(0x9E3779B97F4A7C15) + hk)
-        bucket = (h % np.uint64(num_buckets)).astype(np.int64)
-        return t.append_column("__bucket", pa.array(bucket))
+        # only the KEY columns are hashed; payload columns stay Arrow
+        bucket = hash_keys([t.column(k) for k in keys]) % np.uint64(num_buckets)
+        return t.append_column("__bucket", pa.array(bucket.astype(np.int64)))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return fn(g.drop(columns="__bucket"))
@@ -237,9 +168,7 @@ def content_hash(ds: ray.data.Dataset, column: str = "text") -> ray.data.Dataset
     """Append a deterministic 64-bit content hash (vectorized)."""
 
     def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        batch["content_hash"] = pd.util.hash_array(
-            batch[column].to_numpy(dtype=object), categorize=False
-        ).astype("uint64")
+        batch["content_hash"] = hash_objects(batch[column])
         return batch
 
     return ds.map_batches(fn, batch_format="pandas")
@@ -282,7 +211,7 @@ class MinHasher:
         sh = _shingles(text, self.k)
         if not sh:
             return np.zeros(self.num_perm, dtype=np.uint64)
-        h = _hash_strings(sorted(sh))  # (n_shingles,)
+        h = hash_objects(sorted(sh))  # (n_shingles,)
         # universal hashing: min over (a*h + b) per permutation
         vals = (h[None, :] * self.a[:, None] + self.b[:, None]) & np.uint64(
             0xFFFFFFFFFFFFFFFF
@@ -405,9 +334,7 @@ def _collapse_exact(
         return pd.DataFrame(
             {
                 id_col: b[id_col].to_numpy(np.int64),
-                "content_hash": pd.util.hash_array(
-                    b["text"].to_numpy(dtype=object), categorize=False
-                ).astype("uint64"),
+                "content_hash": hash_objects(b["text"]),
             }
         )
 
@@ -1736,17 +1663,16 @@ def span_dedup(
     interval-coverage pass; the only per-row Python is the final
     ``' '.join`` over documents that actually lost a span. Gram
     equality is 64-bit-hash equality (SipHash via
-    ``pandas.util.hash_array``) — collisions at vocabulary scale are
+    ``hashing.hash_objects``) — collisions at vocabulary scale are
     ~2⁻⁶⁴·pairs and would only ever cut a false span, never corrupt
     unrelated text."""
-    from gene_etl_ray.hashing import hash_urls
     from gene_etl_ray.ops.relational import partitioned_join
     from gene_etl_ray.ops.text import _flat_ngrams
 
     def occurrences(b: pd.DataFrame) -> pa.Table:
         toks = b[text_col].fillna("").str.split(" ")
         d, s, g = _flat_ngrams(toks, n, with_pos=True)
-        h = hash_urls(g).view(np.int64) if len(g) else np.empty(0, np.int64)
+        h = hash_objects(g).view(np.int64) if len(g) else np.empty(0, np.int64)
         ids = (
             b[id_col].to_numpy(dtype=np.int64)[d]
             if len(d)

@@ -801,10 +801,7 @@ def bfs_hops(
                 e, _rename(frontier, {"node": "__fnode", "hops": "__fh"}),
                 src, "__fnode",
             ).map_batches(
-                # int64 cast is load-bearing: join output may carry float64
-                # keys, and bucketed_group_apply hashes 5 and 5.0 to
-                # DIFFERENT buckets (pd.util.hash_array is dtype-sensitive),
-                # which would split a node across buckets in the min-merge
+                # node stays int64, the dtype of ``visited`` it unions with
                 lambda b, _h=hop: pd.DataFrame(
                     {"node": b[dst].astype("int64"),
                      "hops": np.full(len(b), _h, dtype="int64")}),

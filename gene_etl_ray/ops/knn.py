@@ -20,6 +20,7 @@ import numpy as np
 import pandas as pd
 import ray.data
 
+from gene_etl_ray.hashing import hash_keys
 from gene_etl_ray.ops.util import per_process
 
 
@@ -1022,9 +1023,7 @@ def _sharded_topk_edges(
     try:
         def tag(t: pa.Table) -> pa.Table:
             ids = t[id_col].to_numpy().astype(np.int64)
-            shard = (
-                pd.util.hash_array(ids) % np.uint64(num_shards)
-            ).astype(np.int64)
+            shard = (hash_keys([ids]) % np.uint64(num_shards)).astype(np.int64)
             cols = {id_col: pa.array(ids),
                     "__shard": pa.array(shard),
                     vec_col: t[vec_col]}

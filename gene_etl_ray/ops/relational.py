@@ -21,6 +21,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from gene_etl_ray.hashing import hash_keys, hash_objects
+
 
 def read(
     sf_dir: str,
@@ -46,16 +48,17 @@ def read(
 
 
 def _adaptive_buckets(*datasets: ray.data.Dataset, floor: int = 32) -> int:
-    """Bucket count for the partitioned-join family: each bucket is one
-    merge task holding both sides' bucket rows in worker memory, so the
-    count scales with the inputs' combined on-disk bytes at
-    ~256 MB/bucket (floor for parallelism, cap 4096 like read-block
-    sizing). Estimated via ``input_files()`` — pure metadata, never
-    triggers execution (``size_bytes()`` on a lazy chain would) — so it
-    engages for direct file reads and falls back to the floor through
-    transform chains, where callers with size knowledge pass an explicit
-    count. Bucket count never affects correctness (a key's rows land in
-    exactly one bucket either way), only task granularity."""
+    """Bucket count for the partitioned-join family and
+    ``bucketed_group_apply``: each bucket is one task holding its rows
+    (both sides' for a join) in worker memory, so the count scales with
+    the inputs' combined on-disk bytes at ~256 MB/bucket (``floor`` for
+    parallelism, cap 4096 like read-block sizing). Estimated via
+    ``input_files()`` — pure metadata, never triggers execution
+    (``size_bytes()`` on a lazy chain would) — so it engages for direct
+    file reads and falls back to the floor through transform chains,
+    where callers with size knowledge pass an explicit count. Bucket
+    count never affects correctness (a key's rows land in exactly one
+    bucket either way), only task granularity."""
     import os
 
     total = 0
@@ -128,7 +131,19 @@ def partitioned_join(
     ``salt`` tasks instead of stalling one straggler (the standard
     skew-join decomposition; the ingest path salts hot domains the same
     way). Inner/left only: an outer join would emit an unmatched
-    replicated right row once per sub-bucket."""
+    replicated right row once per sub-bucket.
+
+    Null keys follow SQL: a null key matches nothing, on either side
+    (Acero for inner/left/right/outer, ``is_in(skip_nulls=True)`` for
+    semi/anti), unlike ``pd.merge``, which matches NaN to NaN and still
+    runs when ``bucket_post`` is given. Keys an engine step derives
+    (hashes, n-grams, bucket ids) are never null; the callers whose keys
+    can be null join a column of their input data:
+    ``queries.customer_orders_left_join`` (``o_custkey``),
+    ``queries.events_customers_full_outer`` (``user_id``), the
+    ``ops/graph.py`` operators (edge-list node ids), the ``ops/dedup.py``
+    representative anti joins (``id_col``) and the ``pipelines/curate.py``
+    semi join (``id_col``)."""
     if num_buckets is None:
         num_buckets = _adaptive_buckets(left, right)
     if hot_keys:
@@ -338,14 +353,8 @@ def _bucket_union(
 
     def keyed(tag: str, col: str):
         def fn(t: pa.Table) -> pa.Table:
-            keys = t.column(col).to_numpy(zero_copy_only=False)
-            # canonicalize numeric key dtype before hashing: the same key
-            # value must land in the same bucket whether a block carries
-            # it as int64 or (null-upcast) float64
-            if np.issubdtype(keys.dtype, np.number):
-                keys = keys.astype(np.float64)
             bucket = (
-                pd.util.hash_array(keys, categorize=False) % np.uint64(num_buckets)
+                hash_keys([t.column(col)]) % np.uint64(num_buckets)
             ).astype("int64")
             t = t.append_column("__bucket", pa.array(bucket, pa.int64()))
             t = t.append_column("__side", pa.array([tag] * len(bucket), pa.string()))
@@ -768,52 +777,7 @@ class BloomFilter:
         self.bits = np.zeros(num_bits // 8 + 1, dtype=np.uint8)
 
     def _positions(self, values) -> np.ndarray:
-        # vectorized path for integer keys (the winner-seq filter):
-        # hash the int64 ndarray directly — object boxing here made the
-        # hot Bloom prefilter per-element Python (review finding).
-        # Object-boxed INTEGER arrays normalize to the same int64 hash,
-        # so membership is representation-independent; strings keep the
-        # original object hashing (persisted url sidecars stay valid).
-        v = np.asarray(values)
-        if v.dtype.kind in "iu":
-            h1 = pd.util.hash_array(v.astype(np.int64, copy=False))
-        elif v.dtype.kind == "f":
-            # Null-upcast int key blocks arrive as float64 (pandas
-            # upcasts int columns with NaN). Hashing them as float
-            # OBJECTS would disagree with the int64 build-side hash —
-            # a Bloom FALSE NEGATIVE, i.e. silent data loss in the
-            # prefilter (r4 ADVICE). Cast losslessly-integral floats
-            # to int64 so both sides hash identically (mirrors the
-            # float64 canonicalization in _bucket_union); non-integral
-            # or NaN values keep a float-object hash (they can never
-            # equal an int key, so membership stays correct).
-            with np.errstate(invalid="ignore"):
-                integral = (np.isfinite(v) & (np.floor(v) == v)
-                            & (np.abs(v) < 2.0 ** 63))
-            if integral.all() and len(v):
-                h1 = pd.util.hash_array(v.astype(np.int64))
-            else:
-                h1 = np.empty(len(v), dtype=np.uint64)
-                if integral.any():
-                    h1[integral] = pd.util.hash_array(
-                        v[integral].astype(np.int64))
-                if (~integral).any():
-                    h1[~integral] = pd.util.hash_array(
-                        v[~integral].astype(object), categorize=False)
-        else:
-            vi = None
-            if v.dtype == object and len(v):
-                try:
-                    cand = v.astype(np.int64)
-                    if (cand == v).all():
-                        vi = cand
-                except (TypeError, ValueError, OverflowError):
-                    vi = None
-            if vi is not None:
-                h1 = pd.util.hash_array(vi)
-            else:
-                h1 = pd.util.hash_array(
-                    np.asarray(values, dtype=object), categorize=False)
+        h1 = hash_keys([values])
         h2 = (h1 >> np.uint64(32)) | np.uint64(1)
         idx = (
             h1[:, None] + np.arange(self.k, dtype=np.uint64)[None, :] * h2[:, None]
@@ -845,8 +809,6 @@ def bloom_semi_filter(
     bf = bloom
 
     def fn(b: pd.DataFrame) -> pd.DataFrame:
-        # natural dtype (NOT forced object): int columns must take the
-        # same vectorized int hash path as the build side
         return b[bf.contains(b[column].to_numpy())]
 
     return ds.map_batches(fn, batch_format="pandas")
@@ -1969,7 +1931,7 @@ def profile_table(
     2. exact distinct counts via the distinct-(column, value-hash)
        combiner into :func:`grouped_count_distinct` — repeated values
        collapse per batch and the exchange carries 64-bit digests
-       (vectorized ``pd.util.hash_array``, the same cross-process-
+       (vectorized ``hashing.hash_objects``, the same cross-process-
        deterministic hash content_hash relies on), never the values,
        so wide text columns profile at hash cost. A 64-bit collision
        undercounts a cardinality by 1 with birthday-bound probability
@@ -2022,9 +1984,7 @@ def profile_table(
             vals = b[c].dropna().astype(str).unique()
             outs.append(pd.DataFrame({
                 "column": c,
-                "h": pd.util.hash_array(
-                    np.asarray(vals, dtype=object), categorize=False
-                ).astype(np.int64),
+                "h": hash_objects(vals).astype(np.int64),
             }))
         return pd.concat(outs, ignore_index=True)
 

@@ -14,6 +14,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from gene_etl_ray.hashing import hash_objects
+
 
 class HyperLogLog:
     """Fixed-seed, numpy-vectorized HLL over 64-bit hashes."""
@@ -41,8 +43,7 @@ class HyperLogLog:
         np.maximum.at(self.registers, idx, rank)
 
     def add(self, values) -> None:
-        arr = np.asarray(values, dtype=object)
-        self.add_hashes(pd.util.hash_array(arr, categorize=False))
+        self.add_hashes(hash_objects(values))
 
     def merge(self, other: "HyperLogLog") -> "HyperLogLog":
         assert self.p == other.p
@@ -470,8 +471,8 @@ class CountMin:
 
     def _hashes(self, values) -> tuple[np.ndarray, np.ndarray]:
         arr = np.asarray(values, dtype=object)
-        h1 = pd.util.hash_array(arr, categorize=False)
-        h2 = pd.util.hash_array(arr, hash_key=self._KEY2[:16], categorize=False)
+        h1 = hash_objects(arr)
+        h2 = hash_objects(arr, hash_key=self._KEY2[:16])
         return h1, h2 | np.uint64(1)  # odd h2: full-period double hashing
 
     def _rows(self, h1: np.ndarray, h2: np.ndarray, i: int) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 import pandas as pd
 import ray.data
 
+from gene_etl_ray.hashing import hash_objects
 from gene_etl_ray.ops.util import per_process, typed_if_empty
 
 # tiny deterministic stopword sets per language (public common words)
@@ -253,7 +254,7 @@ class Fingerprinter:
         data = text.encode("utf-8", errors="replace")
         n = len(data)
         if n < self.k:
-            return [int(pd.util.hash_array(np.array([text], dtype=object))[0])]
+            return [int(hash_objects([text])[0])]
         arr = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
         # fully vectorized: h_i = Σ_j arr[i+j] · base^(k-1-j) mod 2^64 —
         # identical values to the serial Rabin-Karp recurrence, computed
@@ -356,9 +357,7 @@ class Fingerprinter:
         ai = np.flatnonzero(case_a)
         if len(ai):
             texts = pc.take(arr, pa.array(ai)).to_pylist()
-            vals[out_off[ai]] = pd.util.hash_array(
-                np.array(texts, dtype=object)
-            ).astype(np.uint64)
+            vals[out_off[ai]] = hash_objects(texts)
         bi = np.flatnonzero(case_b)
         if len(bi):
             # gather each doc's ≤w hashes, min.reduceat over exact sizes
@@ -1280,9 +1279,7 @@ def novelty_score(
         ids = b[id_col].to_numpy(np.int64)
         d, g = _flat_ngrams(b[text_col].fillna("").str.split(" "), n)
         if len(g):
-            gh = pd.util.hash_array(
-                np.asarray(g, dtype=object), categorize=False
-            ).astype(np.int64)
+            gh = hash_objects(g).astype(np.int64)
             gh &= np.int64(0x7FFFFFFFFFFFFFFF)  # keep the sentinel space
             u = pd.DataFrame({"gh": gh, "doc": ids[d]}).drop_duplicates()
             pg = u["gh"].to_numpy(np.int64)

@@ -75,7 +75,7 @@ import ray.data
 
 from gene_etl_ray.config import EngineConfig
 from gene_etl_ray.extract import HtmlTextExtractor
-from gene_etl_ray.hashing import group_keys
+from gene_etl_ray.hashing import group_keys, partition_keys
 from gene_etl_ray.pipelines.normalize import normalize_batch, prevalidate_counts
 from gene_etl_ray.schema import (
     DELETED_COLUMN,
@@ -690,7 +690,7 @@ def _write_bloom_sidecar(parquet_path: str, urls) -> None:
     num_bits = max(8192, ((n * 16 + 63) // 64) * 64)
     bf = BloomFilter(num_bits=num_bits, num_hashes=5)
     if n:
-        bf.add(list(urls))
+        bf.add(urls)
     payload = {
         "num_bits": num_bits,
         "num_hashes": 5,
@@ -895,7 +895,7 @@ def _make_merge_fn(
             # WAL segment writer) — 16k rows ≈ tens of MB of webtext
             pq.write_table(s, path, row_group_size=16384)
             _fsync_file(path)
-            _write_bloom_sidecar(path, s.column("url").to_pylist())
+            _write_bloom_sidecar(path, s.column("url"))
             ts = pc.cast(s.column("warc_ts"), pa.int64())
             live = s.num_rows - (pc.sum(s.column(DELETED_COLUMN)).as_py() or 0)
             rows_out.append(
@@ -1096,10 +1096,12 @@ def _merge_exchange(
     partials on their schema metadata — and the per-operator wall times
     of both executions."""
     staged = staged.materialize()
-    refs = [ref for bundle in staged.iter_internal_ref_bundles() for ref in bundle.block_refs]
+    # one object holds the block refs, so each merge task ships one ref,
+    # not all of them
+    refs = ray.put([ref for bundle in staged.iter_internal_ref_bundles() for ref in bundle.block_refs])
 
     def merge_bucket(r: int, files: dict[int, list[str]]) -> pa.Table:
-        blocks = ray.get(refs)
+        blocks = ray.get(ray.get(refs))
         counts, val, hot = _partition_counts(blocks, hot_threshold)
         out = []
         groups = _bucket_groups(blocks, r, S, R, hot)
@@ -1515,7 +1517,6 @@ def lookup_urls(lake_dir: str, urls: list[str]) -> "pa.Table":
     """Point lookup: read ONLY the partitions the urls hash to (the
     partition-pruned read path — at 10^10 scale this touches a handful of
     files instead of the lake). Returns the live rows for the given urls."""
-    from gene_etl_ray.hashing import partition_keys
     from gene_etl_ray.pipelines.normalize import canonicalize_url_one
 
     meta = read_lake_meta(lake_dir)
@@ -2345,12 +2346,9 @@ def repartition_lake(cfg: EngineConfig, factor: int) -> dict:
             """One task per old partition: read → LWW-resolve → split by
             H(url) % P_new into ≤F child tmp files (bounded row groups +
             bloom sidecars, same as merge tasks)."""
-            from gene_etl_ray.hashing import hash_urls
-
             out: list[dict] = []
             t = _partition_rows(files, target, mor=True)  # no-op for cow; folds mor delta stacks
-            urls = t.column("url").to_numpy(zero_copy_only=False)
-            pk_new = (hash_urls(urls) % np.uint64(P_new)).astype(np.int32)
+            pk_new = partition_keys(t.column("url"), P_new)
             # row-conservation guard BEFORE anything becomes durable:
             # every resolved row must land in one of this parent's F
             # children (H % (P·F) ≡ k (mod P) for every url stored
@@ -2379,7 +2377,7 @@ def repartition_lake(cfg: EngineConfig, factor: int) -> dict:
                 )
                 pq.write_table(sub, path, row_group_size=16384)
                 _fsync_file(path)
-                _write_bloom_sidecar(path, sub.column("url").to_pylist())
+                _write_bloom_sidecar(path, sub.column("url"))
                 live = sub.num_rows - (pc.sum(sub.column(DELETED_COLUMN)).as_py() or 0)
                 ts = pc.cast(sub.column("warc_ts"), pa.int64())
                 out.append(

@@ -207,33 +207,58 @@ class TestText:
                for k, n, s in out[["k", "n", "s"]].itertuples(index=False)}
         assert got == {5: (2, 4), 7: (1, 2), -1: (2, 9)}
 
-    def test_bucketed_group_apply_int_and_float_blocks_share_buckets(self):
-        """A key column that is int64 in one block and float64 in another
-        (an int column that carried a null, upcast by pandas) must send
-        each key value to one bucket: 5 and 5.0 fold to one group, and a
-        float NaN and an int null fold to the null group. 1024 buckets
-        make a chance collision of a split key unlikely."""
+    @pytest.mark.parametrize(
+        "site", ["bucketed_group_apply", "partitioned_join_inner",
+                 "partitioned_join_anti", "bloom"])
+    def test_bucketed_group_apply_int_and_float_blocks_share_buckets(self, site):
+        """One key reaches every key-hash site as int64, as a
+        null-carrying float64 (an int column that carried a null, upcast
+        by pandas) and as an object array with None, and each site must
+        co-locate or match it: bucketed_group_apply folds 5, 5.0 and the
+        boxed 5 to one group and every null to the null group,
+        partitioned_join matches the left's int64 5 against all three and
+        no null, and a Bloom filter built from int64 keys finds all three.
+        1024 buckets make a chance collision of a split key unlikely."""
         import pyarrow as pa
-        import ray.data as rd
 
         from gene_etl_ray.ops.dedup import bucketed_group_apply
+        from gene_etl_ray.ops.relational import BloomFilter, partitioned_join
 
-        blocks = [
-            pa.table({"k": pa.array([5, 7], pa.int64()), "v": pa.array([1, 2], pa.int64())}),
-            pa.table({"k": pa.array([5.0, None], pa.float64()), "v": pa.array([3, 4], pa.int64())}),
-            pa.table({"k": pa.array([None], pa.int64()), "v": pa.array([5], pa.int64())}),
-        ]
+        as_int = pa.array([5, 7], pa.int64())
+        as_float = pa.array([5.0, None], pa.float64())
+        as_object = np.array([5, None], dtype=object)
+        if site == "bloom":
+            bf = BloomFilter(num_bits=1 << 16)
+            bf.add(as_int.to_numpy())
+            assert bf.contains(as_int).tolist() == [True, True]
+            assert bf.contains(as_float.to_numpy(zero_copy_only=False)).tolist() == [True, False]
+            assert bf.contains(as_object).tolist() == [True, False]
+            return
+        if site == "bucketed_group_apply":
+            ds = rd.from_arrow([
+                pa.table({"k": as_int, "v": pa.array([1, 2], pa.int64())}),
+                pa.table({"k": as_float, "v": pa.array([3, 4], pa.int64())}),
+                pa.table({"k": pa.array([None], pa.int64()), "v": pa.array([5], pa.int64())}),
+            ]).union(rd.from_pandas(pd.DataFrame({"k": as_object, "v": [6, 7]})))
 
-        def per_key(g: pd.DataFrame) -> pd.DataFrame:
-            return g.groupby("k", dropna=False, as_index=False).agg(
-                n=("v", "size"), s=("v", "sum"))
+            def per_key(g: pd.DataFrame) -> pd.DataFrame:
+                return g.groupby("k", dropna=False, as_index=False).agg(
+                    n=("v", "size"), s=("v", "sum"))
 
-        out = bucketed_group_apply(
-            rd.from_arrow(blocks), ["k"], per_key, num_buckets=1024).to_pandas()
-        assert len(out) == 3, out
-        got = {(-1 if pd.isna(k) else int(k)): (int(n), int(s))
-               for k, n, s in out[["k", "n", "s"]].itertuples(index=False)}
-        assert got == {5: (2, 4), 7: (1, 2), -1: (2, 9)}
+            out = bucketed_group_apply(ds, ["k"], per_key, num_buckets=1024).to_pandas()
+            assert len(out) == 3, out
+            got = {(-1 if pd.isna(k) else int(k)): (int(n), int(s))
+                   for k, n, s in out[["k", "n", "s"]].itertuples(index=False)}
+            assert got == {5: (3, 10), 7: (1, 2), -1: (3, 16)}
+            return
+        left = rd.from_arrow(pa.table({"k": as_int, "v": pa.array([1, 2], pa.int64())}))
+        # the int64 block first: the join's union schema takes its key type
+        right = rd.from_arrow([
+            pa.table({"rk": pa.array([5], pa.int64())}), pa.table({"rk": as_float}),
+        ]).union(rd.from_pandas(pd.DataFrame({"rk": as_object})))
+        how = site.rsplit("_", 1)[1]
+        out = partitioned_join(left, right, "k", "rk", how=how, num_buckets=1024).to_pandas()
+        assert sorted(out["k"].tolist()) == ([5, 5, 5] if how == "inner" else [7])
 
     def test_pmi_collocations_hand_counts(self):
         """Toy corpus where PMI is hand-derivable: 'new york' occurs 6x
@@ -1003,6 +1028,10 @@ class TestBloom:
         # object-boxed ints (a third representation) also agree
         boxed = np.array([3, 6, 9], dtype=object)
         assert bf.contains(boxed).all()
+        # ... also when the object probe carries a null
+        small = BloomFilter(num_bits=1 << 16)
+        small.add(np.array([5, 7], dtype=np.int64))
+        assert small.contains(np.array([5, None], dtype=object)).tolist() == [True, False]
 
     def test_bloom_semi_filter_superset_of_exact(self):
         import pandas as pd

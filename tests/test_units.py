@@ -103,6 +103,46 @@ class TestHashing:
         # gkey maps back to pkey
         assert (gk // 8 == pk).all()
 
+    def test_layout_hashes_are_pinned(self, tmp_path):
+        """Every lake on disk is laid out by these url hashes and every
+        Bloom sidecar holds these bits: a change to either strands the
+        lakes and sidecars already written."""
+        import hashlib
+        import json
+
+        from gene_etl_ray.pipelines.ingest import _write_bloom_sidecar
+
+        urls = ["http://example.com/", "https://a.b/c?d=1", "http://münchen.de/straße",
+                "http://x.org/page/42", "https://news.example/2024/01/01/story.html"]
+        assert hash_urls(urls).tolist() == [
+            4486041657559908502, 13643620514893613415, 3671603830354942982,
+            4810481930726267976, 2778928271321134859]
+        assert partition_keys(urls, 16).tolist() == [6, 7, 6, 8, 11]
+        pk, gk = group_keys(urls, 16, 4)
+        assert pk.tolist() == [6, 7, 6, 8, 11]
+        assert gk.tolist() == [26, 30, 27, 32, 46]
+        path = str(tmp_path / "f.parquet")
+        _write_bloom_sidecar(path, [f"http://site{i}.example/p{i}" for i in range(40)])
+        with open(path + ".bloom") as f:
+            payload = json.load(f)
+        assert (payload["num_bits"], payload["num_hashes"]) == (8192, 5)
+        assert hashlib.sha256(payload["bits"].encode()).hexdigest() == (
+            "e6f58962c538a946b75af12c6fada7da09f9bbe0dec325720463f4387834897e")
+
+    def test_hash_array_called_only_in_hashing(self):
+        """Every key hash and fingerprint goes through ``hashing.py``, so
+        one dtype rule holds everywhere; a second ``hash_array`` caller is
+        where a second rule would start."""
+        from pathlib import Path
+
+        import gene_etl_ray
+
+        root = Path(gene_etl_ray.__file__).parent
+        callers = sorted(
+            str(p.relative_to(root)) for p in root.rglob("*.py")
+            if p != root / "hashing.py" and "hash_array(" in p.read_text())
+        assert callers == []
+
 
 class TestNormalize:
     def test_canonicalize(self):
