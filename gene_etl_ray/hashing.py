@@ -120,9 +120,14 @@ def hash_keys(cols) -> np.ndarray:
     return h
 
 
+def partition_of(h: np.ndarray, num_partitions: int) -> np.ndarray:
+    """int32 partition id per url hash ``h`` (:func:`hash_urls`): ``h % P``."""
+    return (h % np.uint64(num_partitions)).astype(np.int32)
+
+
 def partition_keys(urls, num_partitions: int) -> np.ndarray:
     """int32 partition id per url: ``H(url) % P``."""
-    return (hash_urls(urls) % np.uint64(num_partitions)).astype(np.int32)
+    return partition_of(hash_urls(urls), num_partitions)
 
 
 def group_keys(
@@ -140,6 +145,6 @@ def group_keys(
     consumes the low bits).
     """
     h = hash_urls(urls)
-    pk = (h % np.uint64(num_partitions)).astype(np.int32)
+    pk = partition_of(h, num_partitions)
     salts = (h >> np.uint64(32)) % np.uint64(salt_factor)
     return pk, pk.astype(np.int64) * salt_factor + salts.astype(np.int64)

@@ -273,12 +273,28 @@ def partitioned_join(
 
             lg = solidify(lg, left_on, rg.schema.field(right_on).type)
             rg = solidify(rg, right_on, lg.schema.field(left_on).type)
+            lt, rt = lg.schema.field(left_on).type, rg.schema.field(right_on).type
+            if lt.equals(rt):
+                return lg.join(
+                    rg, keys=left_on, right_keys=right_on,
+                    join_type=acero_how[how],
+                    coalesce_keys=(left_on == right_on),
+                    left_suffix="_x", right_suffix="_y",
+                    use_threads=False)
+            # Acero joins only like-typed keys (int64 ⋈ float64 raises):
+            # join on both keys cast to their common type, and keep the
+            # key columns as they were, like pd.merge and DuckDB do. Only
+            # differently named keys get here: a shared key name has one
+            # type in the union schema.
+            common = pa.unify_schemas(
+                [pa.schema([("k", lt)]), pa.schema([("k", rt)])],
+                promote_options="permissive").field("k").type
+            lg = lg.append_column("__jk", lg.column(left_on).cast(common))
+            rg = rg.append_column("__jk", rg.column(right_on).cast(common))
             return lg.join(
-                rg, keys=left_on, right_keys=right_on,
-                join_type=acero_how[how],
-                coalesce_keys=(left_on == right_on),
+                rg, keys="__jk", join_type=acero_how[how],
                 left_suffix="_x", right_suffix="_y",
-                use_threads=False)
+                use_threads=False).drop_columns(["__jk"])
 
         return both.groupby("__bucket").map_groups(
             join_bucket_merge_pa, batch_format="pyarrow")
@@ -776,8 +792,9 @@ class BloomFilter:
         self.k = num_hashes
         self.bits = np.zeros(num_bits // 8 + 1, dtype=np.uint8)
 
-    def _positions(self, values) -> np.ndarray:
-        h1 = hash_keys([values])
+    def _positions(self, h1: np.ndarray) -> np.ndarray:
+        """The probe rule: bit positions of each key hash ``h1``
+        (:func:`hashing.hash_keys`)."""
         h2 = (h1 >> np.uint64(32)) | np.uint64(1)
         idx = (
             h1[:, None] + np.arange(self.k, dtype=np.uint64)[None, :] * h2[:, None]
@@ -785,13 +802,18 @@ class BloomFilter:
         return idx.astype(np.int64)
 
     def add(self, values) -> None:
-        pos = self._positions(values).ravel()
+        pos = self._positions(hash_keys([values])).ravel()
         np.bitwise_or.at(self.bits, pos >> 3, (1 << (pos & 7)).astype(np.uint8))
 
-    def contains(self, values) -> np.ndarray:
-        pos = self._positions(values)
+    def contains_hashes(self, h1: np.ndarray) -> np.ndarray:
+        """``contains`` for keys already hashed: a caller that probes many
+        filters with one key set hashes it once."""
+        pos = self._positions(h1)
         hit = (self.bits[pos >> 3] & (1 << (pos & 7)).astype(np.uint8)) != 0
         return hit.all(axis=1)
+
+    def contains(self, values) -> np.ndarray:
+        return self.contains_hashes(hash_keys([values]))
 
 
 def bloom_semi_filter(

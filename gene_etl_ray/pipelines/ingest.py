@@ -55,6 +55,7 @@ Scale properties (designed for 10^10 events / multi-node):
 
 from __future__ import annotations
 
+import bisect
 import functools
 import glob
 import hashlib
@@ -64,6 +65,7 @@ import logging
 import os
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 
@@ -75,7 +77,7 @@ import ray.data
 
 from gene_etl_ray.config import EngineConfig
 from gene_etl_ray.extract import HtmlTextExtractor
-from gene_etl_ray.hashing import group_keys, partition_keys
+from gene_etl_ray.hashing import group_keys, hash_urls, partition_keys, partition_of
 from gene_etl_ray.pipelines.normalize import normalize_batch, prevalidate_counts
 from gene_etl_ray.schema import (
     DELETED_COLUMN,
@@ -724,6 +726,69 @@ def _load_bloom_sidecar(parquet_path: str):
         return bf
     except (ValueError, KeyError, OSError):
         return None  # corrupt sidecar ⇒ fall back to reading the file
+
+
+# filter bits the process keeps decoded, over every lake it has probed
+_SIDECAR_CACHE_BYTES = 64 << 20
+
+
+class _SidecarCache:
+    """Decoded Bloom sidecars, process-wide, least recently used first
+    out past ``budget`` bytes of filter bits. A committed sidecar never
+    changes, but a crash re-run or a copy-on-write rewrite can rename new
+    bytes onto an old path, so an entry is keyed on the file's identity
+    ``(path, inode, mtime, size)``, never on the path alone. A miss goes
+    through ``_load_bloom_sidecar``: a missing or corrupt sidecar is None
+    (read the file) and is not kept. Locked: a process may look up from
+    several threads at once (a threaded server)."""
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self._entries: OrderedDict = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, parquet_path: str):
+        try:
+            st = os.stat(_bloom_sidecar_path(parquet_path))
+        except OSError:
+            return _load_bloom_sidecar(parquet_path)
+        key = (parquet_path, st.st_ino, st.st_mtime_ns, st.st_size)
+        with self._lock:
+            bf = self._entries.get(key)
+            if bf is not None:
+                self._entries.move_to_end(key)
+                return bf
+        bf = _load_bloom_sidecar(parquet_path)
+        if bf is None:
+            return None
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = bf
+                self._bytes += bf.bits.nbytes
+                while self._bytes > self.budget:
+                    _, old = self._entries.popitem(last=False)
+                    self._bytes -= old.bits.nbytes
+        return bf
+
+
+_SIDECARS = _SidecarCache(_SIDECAR_CACHE_BYTES)
+
+
+def _row_groups_holding(md: pq.FileMetaData, probes: list[str]) -> list[int]:
+    """Row groups of a lake file whose url min/max statistics admit one
+    of the sorted ``probes``; a row group without statistics is kept."""
+    col = md.schema.names.index("url")
+    keep = []
+    for i in range(md.num_row_groups):
+        st = md.row_group(i).column(col).statistics
+        if st is None or not st.has_min_max:
+            keep.append(i)
+            continue
+        j = bisect.bisect_left(probes, st.min)
+        if j < len(probes) and probes[j] <= st.max:
+            keep.append(i)
+    return keep
 
 
 def _resolve_lww(group: pa.Table) -> pa.Table:
@@ -1514,36 +1579,42 @@ def _run_ingest(
 
 
 def lookup_urls(lake_dir: str, urls: list[str]) -> "pa.Table":
-    """Point lookup: read ONLY the partitions the urls hash to (the
-    partition-pruned read path — at 10^10 scale this touches a handful of
-    files instead of the lake). Returns the live rows for the given urls."""
+    """Point lookup: the live rows of the given urls, reading ONLY what
+    can hold them (at 10^10 scale a handful of files instead of the
+    lake). The canonical urls are hashed once: the hash names their
+    partitions (``H % P``) and probes each file's Bloom sidecar, so a
+    file whose sidecar proves none of the urls present is skipped (a MOR
+    partition is a delta-file stack; most deltas miss most urls). A
+    surviving file is read only in the row groups whose url statistics
+    admit a probe. Manifests and lake meta are read on every call; only
+    the immutable sidecars are cached (``_SIDECARS``)."""
     from gene_etl_ray.pipelines.normalize import canonicalize_url_one
 
     meta = read_lake_meta(lake_dir)
     if meta is None:
         return pa.table({"url": pa.array([], pa.string())})
-    canon = [canonicalize_url_one(u) for u in urls]
-    P = meta["num_partitions"]
-    pkeys = sorted(set(int(k) for k in partition_keys(canon, P)))
+    canon = [c for c in map(canonicalize_url_one, urls) if c is not None]
+    h = hash_urls(canon)
+    pkeys = sorted(set(partition_of(h, meta["num_partitions"]).tolist()))
     files = [f for fs in current_files(lake_dir, pkeys).values() for f in fs]
-    if not files:
-        return _schema_from_hex(meta["schema_hex"]).empty_table()
-    # file-level Bloom pruning inside the probed partitions: skip files
-    # whose sidecar proves none of the urls can be present (a MOR
-    # partition is a delta-file stack; most deltas miss most urls).
-    # Missing/corrupt sidecar ⇒ read the file (no false negatives).
-    pruned = []
-    for f in files:
-        bf = _load_bloom_sidecar(f)
-        if bf is None or bool(bf.contains(canon).any()):
-            pruned.append(f)
-    files = pruned
+    kept = [f for f in files
+            if (bf := _SIDECARS.get(f)) is None or bf.contains_hashes(h).any()]
     target = _schema_from_hex(meta["schema_hex"])
-    if not files:
-        return target.empty_table()
-    tables = [conform_table(pq.read_table(f), target) for f in files]
-    t = pa.concat_tables(tables)
-    t = t.filter(pc.is_in(t.column("url"), value_set=pa.array(canon, pa.string())))
+    probe = pa.array(canon, pa.string())
+    bounds = sorted(set(canon))
+    tabs, n_groups = [target.empty_table()], 0
+    for f in kept:
+        with pq.ParquetFile(f) as pf:
+            groups = _row_groups_holding(pf.metadata, bounds)
+            if not groups:
+                continue
+            n_groups += len(groups)
+            t = pf.read_row_groups(groups, use_threads=False)
+        t = t.filter(pc.is_in(t.column("url"), value_set=probe))
+        tabs.append(conform_table(t, target))
+    logger.debug("lookup_urls: %d files in %d probed partitions, %d kept by Bloom, "
+                 "%d row groups read", len(files), len(pkeys), len(kept), n_groups)
+    t = pa.concat_tables(tabs)
     if meta.get("merge_mode") == "mor" and t.num_rows:
         t = _resolve_lww(t)
     t = t.filter(pc.invert(t.column(DELETED_COLUMN)))

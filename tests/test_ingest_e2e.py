@@ -894,6 +894,21 @@ class TestDeltaView:
                 )
 
 
+def count_opens(monkeypatch) -> list[str]:
+    """The paths of the lake files ``lookup_urls`` opens from now on."""
+    import gene_etl_ray.pipelines.ingest as ing
+
+    opened: list[str] = []
+    real = ing.pq.ParquetFile
+
+    def counting(path, *a, **k):
+        opened.append(path)
+        return real(path, *a, **k)
+
+    monkeypatch.setattr(ing.pq, "ParquetFile", counting)
+    return opened
+
+
 class TestBloomSidecars:
     """Per-file url Bloom sidecars: committed with the same rename
     protocol as the data file, GC'd with it, and used by point lookups
@@ -919,14 +934,7 @@ class TestBloomSidecars:
 
         live = lake_df(lake)
         probe = sorted(live["url"])[:3]
-        reads: list[str] = []
-        real_read = ing.pq.read_table
-
-        def counting_read(path, *a, **k):
-            reads.append(path)
-            return real_read(path, *a, **k)
-
-        monkeypatch.setattr(ing.pq, "read_table", counting_read)
+        reads = count_opens(monkeypatch)
         got = ing.lookup_urls(lake, probe).to_pandas()
         monkeypatch.undo()
         assert sorted(got["url"]) == sorted(probe)
@@ -935,12 +943,16 @@ class TestBloomSidecars:
 
         pkeys = sorted(set(int(k) for k in partition_keys(probe, 4)))
         candidate = [f for fs in current_files(lake, pkeys).values() for f in fs]
-        assert len(reads) < len(candidate), (len(reads), len(candidate))
+        assert 1 <= len(reads) < len(candidate), (len(reads), len(candidate))
 
-        # equality with the unpruned read: force sidecars to miss
+        # equality with the unpruned read: force sidecars to miss (in an
+        # empty cache: the lookup above cached the decoded sidecars)
+        monkeypatch.setattr(ing, "_SIDECARS", ing._SidecarCache(ing._SIDECAR_CACHE_BYTES))
         monkeypatch.setattr(ing, "_load_bloom_sidecar", lambda f: None)
+        reads = count_opens(monkeypatch)
         unpruned = ing.lookup_urls(lake, probe).to_pandas()
         monkeypatch.undo()
+        assert sorted(reads) == sorted(candidate)
         pd.testing.assert_frame_equal(
             got.sort_values("url").reset_index(drop=True),
             unpruned.sort_values("url").reset_index(drop=True),
@@ -966,6 +978,196 @@ class TestBloomSidecars:
         sidecars = set(glob.glob(os.path.join(lake, "part=*", "*.parquet.bloom")))
         assert sidecars == {f + ".bloom" for f in manifested}
 
+
+def assert_lookups_match_oracle(lake: str, events_dir: str, urls: list[str]) -> None:
+    """Each url's single-url ``lookup_urls``, and one lookup of them all,
+    return the replay oracle's live row of that url, or no row."""
+    from gene_etl_ray.pipelines.ingest import lookup_urls
+
+    gold = replay_oracle(events_dir).set_index("url")
+    cols = ["warc_ts", "seq", "text"]
+    for u in urls:
+        got = lookup_urls(lake, [u]).to_pandas()
+        if u not in gold.index:
+            assert len(got) == 0, u
+        else:
+            assert len(got) == 1, u
+            assert list(got[cols].iloc[0]) == list(gold.loc[u, cols]), u
+    got = lookup_urls(lake, urls).to_pandas().sort_values("url").set_index("url")
+    want = gold.loc[sorted(set(urls) & set(gold.index)), cols]
+    pd.testing.assert_frame_equal(got[cols], want, check_dtype=False)
+
+
+def rewrite_lake_file(path: str, table: pa.Table, **write_kw) -> None:
+    """Put ``table`` and its Bloom sidecar at a committed file's path the
+    way the commit does: written aside, then renamed over the old bytes."""
+    import gene_etl_ray.pipelines.ingest as ing
+
+    tmp = os.path.join(os.path.dirname(path), ".tmp-rewrite.parquet")
+    pq.write_table(table, tmp, **write_kw)
+    ing._write_bloom_sidecar(tmp, table.column("url"))
+    os.replace(tmp, path)
+    os.replace(tmp + ".bloom", path + ".bloom")
+
+
+class TestPointLookups:
+    """``lookup_urls`` hashes the probe once, keeps decoded Bloom sidecars
+    per file version and reads only the row groups whose url statistics
+    admit a probe: none of it may change what a lookup returns."""
+
+    def test_lookup_after_each_mor_commit_matches_oracle(self, tmp_path):
+        full = str(tmp_path / "all_events")
+        ev = str(tmp_path / "events")
+        lake = str(tmp_path / "lake")
+        generate_events(full, n_urls=80, n_events=400, n_epochs=4, seed=41,
+                        delete_frac=0.15)
+        urls = sorted(set(replay_oracle(full)["url"])
+                      | set(pq.read_table(full, columns=["url"]).column("url").to_pylist()))
+        os.makedirs(ev)
+        cfg = EngineConfig(lake_dir=lake, num_partitions=4, epochs_per_commit=1,
+                           merge_mode="mor")
+        for f in sorted(glob.glob(os.path.join(full, "epoch=*.parquet"))):
+            shutil.copy(f, ev)
+            run_ingest(cfg, ev)
+            assert_lookups_match_oracle(lake, ev, urls)
+
+    @staticmethod
+    def _mor_lake(tmp_path) -> tuple[str, str]:
+        ev = str(tmp_path / "events")
+        lake = str(tmp_path / "lake")
+        generate_events(ev, n_urls=60, n_events=300, n_epochs=3, seed=43)
+        run_ingest(EngineConfig(lake_dir=lake, num_partitions=2, epochs_per_commit=1,
+                                merge_mode="mor"), ev)
+        return ev, lake
+
+    def test_rewritten_file_at_old_path_is_reread(self, tmp_path):
+        """A crash re-run or a copy-on-write rewrite can rename new bytes
+        onto a committed path: the cached sidecar of the old bytes must
+        not prune the new ones."""
+        import gene_etl_ray.pipelines.ingest as ing
+        from gene_etl_ray.hashing import partition_keys
+
+        ev, lake = self._mor_lake(tmp_path)
+        assert_lookups_match_oracle(lake, ev, list(lake_df(lake)["url"]))  # caches sidecars
+        f = current_files(lake, [0])[0][-1]
+        old = pq.read_table(f)
+        # a url of this partition that the file's old sidecar rules out
+        new_url = next(u for u in (f"https://rewrite.example/{i}" for i in range(10_000))
+                       if partition_keys([u], 2)[0] == 0
+                       and not ing._SIDECARS.get(f).contains([u])[0])
+        added = old.slice(0, 1)
+        added = added.set_column(0, "url", pa.array([new_url], old.schema.field("url").type))
+        added = added.set_column(added.schema.get_field_index(ing.DELETED_COLUMN),
+                                 ing.DELETED_COLUMN, pa.array([False]))
+        rewrite_lake_file(f, pa.concat_tables([old, added]).sort_by("url"))
+        got = ing.lookup_urls(lake, [new_url]).to_pandas()
+        assert list(got["url"]) == [new_url]
+        assert got["seq"].iloc[0] == added.column("seq")[0].as_py()
+
+    @pytest.mark.parametrize("damage", ["corrupt", "deleted"])
+    def test_unreadable_sidecar_reads_the_file(self, tmp_path, monkeypatch, damage):
+        """A sidecar that is corrupt or gone, even after its good bytes
+        were cached, means "read the file": every file of the probed
+        partition is opened and the lookup still answers right."""
+        import gene_etl_ray.pipelines.ingest as ing
+        from gene_etl_ray.hashing import partition_keys
+
+        ev, lake = self._mor_lake(tmp_path)
+        live = list(lake_df(lake)["url"])
+        assert_lookups_match_oracle(lake, ev, live)  # caches sidecars
+        for f in [f for fs in current_files(lake).values() for f in fs]:
+            if damage == "corrupt":
+                with open(f + ".bloom", "w") as fh:
+                    fh.write('{"num_bits": 8192')
+            else:
+                os.remove(f + ".bloom")
+        for u in live[:5]:
+            opened = count_opens(monkeypatch)
+            got = ing.lookup_urls(lake, [u]).to_pandas()
+            monkeypatch.undo()
+            assert list(got["url"]) == [u]
+            pkey = int(partition_keys([u], 2)[0])
+            assert sorted(opened) == sorted(current_files(lake, [pkey])[pkey])
+        assert_lookups_match_oracle(lake, ev, live)
+
+    def test_sidecar_cache_keeps_its_budget_under_threads(self, tmp_path):
+        """Threads sharing one sidecar cache (lookups from a threaded
+        server) whose budget holds 4 of 12 filters: every get returns the filter
+        on disk, and the byte count stays the sum of the entries held,
+        within the budget."""
+        import random
+        import sys
+        import threading
+
+        import gene_etl_ray.pipelines.ingest as ing
+
+        paths = [str(tmp_path / f"f{i}.parquet") for i in range(12)]
+        for i, p in enumerate(paths):
+            ing._write_bloom_sidecar(p, pa.array([f"https://t.example/{i}/{j}" for j in range(50)]))
+        want = {p: ing._load_bloom_sidecar(p).bits for p in paths}
+        cache = ing._SidecarCache(budget=4 * want[paths[0]].nbytes)
+        errors: list = []
+
+        def worker(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(300):
+                    p = rng.choice(paths)
+                    if not (cache.get(p).bits == want[p]).all():
+                        errors.append(p)
+            except Exception as e:  # reported by the assert below
+                errors.append(e)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        held = sum(bf.bits.nbytes for bf in cache._entries.values())
+        assert cache._bytes == held <= cache.budget
+
+    @pytest.mark.parametrize("stats", [True, False])
+    def test_lookup_reads_only_row_groups_holding_the_probe(
+            self, tmp_path, caplog, stats):
+        """A lake file of 4-row row groups: a lookup reads only the row
+        groups whose url range holds a probe (every row group when the
+        file has no statistics) and returns what a full read returns."""
+        import logging
+
+        import gene_etl_ray.pipelines.ingest as ing
+
+        ev = str(tmp_path / "events")
+        lake = str(tmp_path / "lake")
+        generate_events(ev, n_urls=60, n_events=200, n_epochs=2, seed=47)
+        run_ingest(EngineConfig(lake_dir=lake, num_partitions=1), ev)
+        [f] = current_files(lake)[0]
+        full = pq.read_table(f)
+        rewrite_lake_file(f, full, row_group_size=4, write_statistics=stats)
+        groups = pq.ParquetFile(f).metadata.num_row_groups
+        assert groups == -(-full.num_rows // 4) > 3
+        live = lake_df(lake)
+        probes = [list(live["url"].iloc[[7]]), list(live["url"].iloc[[3, 30, 31]])]
+        caplog.set_level(logging.DEBUG, logger=ing.__name__)
+        for probe in probes:
+            caplog.clear()
+            got = ing.lookup_urls(lake, probe).to_pandas().sort_values("url")
+            want = live[live["url"].isin(probe)]
+            pd.testing.assert_frame_equal(got.reset_index(drop=True),
+                                          want[got.columns].reset_index(drop=True))
+            # the stored rows are url-sorted and one per url: the probes'
+            # row groups are the groups holding their row positions
+            stored = full.column("url").to_pylist()
+            held = len({stored.index(u) // 4 for u in probe}) if stats else groups
+            [msg] = [r.getMessage() for r in caplog.records if "lookup_urls" in r.getMessage()]
+            assert msg == (f"lookup_urls: 1 files in 1 probed partitions, 1 kept by Bloom, "
+                           f"{held} row groups read"), msg
 
 class TestWriteAuditPublish:
     """WAP gate: staged output is audited distributed before anything

@@ -260,6 +260,30 @@ class TestText:
         out = partitioned_join(left, right, "k", "rk", how=how, num_buckets=1024).to_pandas()
         assert sorted(out["k"].tolist()) == ([5, 5, 5] if how == "inner" else [7])
 
+    @pytest.mark.parametrize("how", ["inner", "left", "right", "outer"])
+    def test_partitioned_join_int_key_meets_float_key(self, how):
+        """An int64 key joined to a float64 key of another name (an int
+        column that carried a null, upcast by pandas): the rows and the
+        column types are DuckDB's, where the per-bucket join once raised
+        on the two key types."""
+        import duckdb
+        import pyarrow as pa
+        import ray
+
+        from gene_etl_ray.ops.relational import partitioned_join
+
+        lt = pa.table({"k": pa.array([5, 7], pa.int64()), "v": pa.array([1, 2], pa.int64())})
+        rt = pa.table({"rk": pa.array([5.0, None], pa.float64()),
+                       "w": pa.array([10, 20], pa.int64())})
+        out = partitioned_join(rd.from_arrow(lt), rd.from_arrow(rt), "k", "rk",
+                               how=how, num_buckets=8)
+        got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+        sql = {"inner": "INNER", "left": "LEFT", "right": "RIGHT", "outer": "FULL OUTER"}[how]
+        want = duckdb.sql(f"SELECT * FROM lt {sql} JOIN rt ON lt.k = rt.rk").arrow()
+        assert got.schema.names == want.schema.names
+        assert got.schema.types == want.schema.types
+        assert sorted(got.to_pylist(), key=str) == sorted(want.to_pylist(), key=str)
+
     def test_pmi_collocations_hand_counts(self):
         """Toy corpus where PMI is hand-derivable: 'new york' occurs 6x
         and its tokens occur nowhere else as that (left,right) marginal
