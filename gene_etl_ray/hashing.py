@@ -13,7 +13,9 @@ alone:
 - null / NaN → one fixed sentinel;
 - integers, and floats that are losslessly integral with |v| < 2^63 →
   the SipHash of the int64 value (so ``5``, ``5.0`` and an object-boxed
-  ``5`` agree);
+  ``5`` agree); an integer beyond ±2^53 hashes as its float64 rounding,
+  the value a float64 key compares equal to (as in DuckDB and Arrow's
+  cast), so ``2**53 + 1`` and ``2.0**53`` agree;
 - other floats → the SipHash of the float64 value;
 - strings and anything else → the object hash, :func:`hash_objects`,
   which for strings is :func:`hash_urls` bit for bit — the lake layout
@@ -67,6 +69,14 @@ def _float_hash(v: np.ndarray) -> np.ndarray:
     return h
 
 
+def _int_hash(v: np.ndarray) -> np.ndarray:
+    h = pd.util.hash_array(v.astype(np.int64, copy=False))
+    big = (v > 2 ** 53) | (v < -(2 ** 53))
+    if big.any():
+        h[big] = _float_hash(v[big].astype(np.float64))
+    return h
+
+
 def _mixed_hash(v: np.ndarray) -> np.ndarray:
     # Arrow cannot type an object array that mixes Python types (5 beside
     # "a"): hash the values of each type on their own
@@ -84,7 +94,7 @@ def _key_hash(col) -> np.ndarray:
     if not isinstance(col, (pa.Array, pa.ChunkedArray)):
         v = np.asarray(col, dtype=None if isinstance(col, (np.ndarray, pd.Series)) else object)
         if v.dtype.kind in "iu":
-            return pd.util.hash_array(v.astype(np.int64, copy=False))
+            return _int_hash(v)
         if v.dtype.kind == "f":
             return _float_hash(v.astype(np.float64, copy=False))
         if pd.api.types.infer_dtype(v, skipna=False) == "string":
@@ -98,8 +108,7 @@ def _key_hash(col) -> np.ndarray:
     if pa.types.is_floating(t):
         return _float_hash(col.to_numpy(zero_copy_only=False).astype(np.float64, copy=False))
     if pa.types.is_integer(t):
-        h = pd.util.hash_array(col.fill_null(0).to_numpy(
-            zero_copy_only=False).astype(np.int64, copy=False))
+        h = _int_hash(col.fill_null(0).to_numpy(zero_copy_only=False))
     elif pa.types.is_string(t) or pa.types.is_large_string(t):
         h = hash_objects(col.to_numpy(zero_copy_only=False))
     else:

@@ -285,12 +285,14 @@ def partitioned_join(
             # join on both keys cast to their common type, and keep the
             # key columns as they were, like pd.merge and DuckDB do. Only
             # differently named keys get here: a shared key name has one
-            # type in the union schema.
+            # type in the union schema. The cast is unsafe because
+            # ``__jk`` only matches rows: an int64 above 2^53 rounds to
+            # its float64, as DuckDB compares it.
             common = pa.unify_schemas(
                 [pa.schema([("k", lt)]), pa.schema([("k", rt)])],
                 promote_options="permissive").field("k").type
-            lg = lg.append_column("__jk", lg.column(left_on).cast(common))
-            rg = rg.append_column("__jk", rg.column(right_on).cast(common))
+            lg = lg.append_column("__jk", lg.column(left_on).cast(common, safe=False))
+            rg = rg.append_column("__jk", rg.column(right_on).cast(common, safe=False))
             return lg.join(
                 rg, keys="__jk", join_type=acero_how[how],
                 left_suffix="_x", right_suffix="_y",

@@ -55,7 +55,6 @@ Scale properties (designed for 10^10 events / multi-node):
 
 from __future__ import annotations
 
-import bisect
 import functools
 import glob
 import hashlib
@@ -773,22 +772,6 @@ class _SidecarCache:
 
 
 _SIDECARS = _SidecarCache(_SIDECAR_CACHE_BYTES)
-
-
-def _row_groups_holding(md: pq.FileMetaData, probes: list[str]) -> list[int]:
-    """Row groups of a lake file whose url min/max statistics admit one
-    of the sorted ``probes``; a row group without statistics is kept."""
-    col = md.schema.names.index("url")
-    keep = []
-    for i in range(md.num_row_groups):
-        st = md.row_group(i).column(col).statistics
-        if st is None or not st.has_min_max:
-            keep.append(i)
-            continue
-        j = bisect.bisect_left(probes, st.min)
-        if j < len(probes) and probes[j] <= st.max:
-            keep.append(i)
-    return keep
 
 
 def _resolve_lww(group: pa.Table) -> pa.Table:
@@ -1584,10 +1567,9 @@ def lookup_urls(lake_dir: str, urls: list[str]) -> "pa.Table":
     lake). The canonical urls are hashed once: the hash names their
     partitions (``H % P``) and probes each file's Bloom sidecar, so a
     file whose sidecar proves none of the urls present is skipped (a MOR
-    partition is a delta-file stack; most deltas miss most urls). A
-    surviving file is read only in the row groups whose url statistics
-    admit a probe. Manifests and lake meta are read on every call; only
-    the immutable sidecars are cached (``_SIDECARS``)."""
+    partition is a delta-file stack; most deltas miss most urls).
+    Manifests and lake meta are read on every call; only the immutable
+    sidecars are cached (``_SIDECARS``)."""
     from gene_etl_ray.pipelines.normalize import canonicalize_url_one
 
     meta = read_lake_meta(lake_dir)
@@ -1601,19 +1583,14 @@ def lookup_urls(lake_dir: str, urls: list[str]) -> "pa.Table":
             if (bf := _SIDECARS.get(f)) is None or bf.contains_hashes(h).any()]
     target = _schema_from_hex(meta["schema_hex"])
     probe = pa.array(canon, pa.string())
-    bounds = sorted(set(canon))
-    tabs, n_groups = [target.empty_table()], 0
+    tabs = [target.empty_table()]
     for f in kept:
         with pq.ParquetFile(f) as pf:
-            groups = _row_groups_holding(pf.metadata, bounds)
-            if not groups:
-                continue
-            n_groups += len(groups)
-            t = pf.read_row_groups(groups, use_threads=False)
+            t = pf.read(use_threads=False)
         t = t.filter(pc.is_in(t.column("url"), value_set=probe))
         tabs.append(conform_table(t, target))
-    logger.debug("lookup_urls: %d files in %d probed partitions, %d kept by Bloom, "
-                 "%d row groups read", len(files), len(pkeys), len(kept), n_groups)
+    logger.debug("lookup_urls: %d files in %d probed partitions, %d kept by Bloom and read",
+                 len(files), len(pkeys), len(kept))
     t = pa.concat_tables(tabs)
     if meta.get("merge_mode") == "mor" and t.num_rows:
         t = _resolve_lww(t)

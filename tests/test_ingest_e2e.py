@@ -914,7 +914,9 @@ class TestBloomSidecars:
     protocol as the data file, GC'd with it, and used by point lookups
     to skip files that cannot contain a probed url."""
 
-    def test_sidecars_committed_and_lookup_prunes(self, tmp_path, monkeypatch):
+    def test_sidecars_committed_and_lookup_prunes(self, tmp_path, monkeypatch, caplog):
+        import logging
+
         import gene_etl_ray.pipelines.ingest as ing
 
         ev = str(tmp_path / "events")
@@ -935,6 +937,7 @@ class TestBloomSidecars:
         live = lake_df(lake)
         probe = sorted(live["url"])[:3]
         reads = count_opens(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger=ing.__name__)
         got = ing.lookup_urls(lake, probe).to_pandas()
         monkeypatch.undo()
         assert sorted(got["url"]) == sorted(probe)
@@ -944,6 +947,10 @@ class TestBloomSidecars:
         pkeys = sorted(set(int(k) for k in partition_keys(probe, 4)))
         candidate = [f for fs in current_files(lake, pkeys).values() for f in fs]
         assert 1 <= len(reads) < len(candidate), (len(reads), len(candidate))
+        # the lookup reports what it read
+        [msg] = [r.getMessage() for r in caplog.records if "lookup_urls" in r.getMessage()]
+        assert msg == (f"lookup_urls: {len(candidate)} files in {len(pkeys)} probed "
+                       f"partitions, {len(reads)} kept by Bloom and read"), msg
 
         # equality with the unpruned read: force sidecars to miss (in an
         # empty cache: the lookup above cached the decoded sidecars)
@@ -998,22 +1005,22 @@ def assert_lookups_match_oracle(lake: str, events_dir: str, urls: list[str]) -> 
     pd.testing.assert_frame_equal(got[cols], want, check_dtype=False)
 
 
-def rewrite_lake_file(path: str, table: pa.Table, **write_kw) -> None:
+def rewrite_lake_file(path: str, table: pa.Table) -> None:
     """Put ``table`` and its Bloom sidecar at a committed file's path the
     way the commit does: written aside, then renamed over the old bytes."""
     import gene_etl_ray.pipelines.ingest as ing
 
     tmp = os.path.join(os.path.dirname(path), ".tmp-rewrite.parquet")
-    pq.write_table(table, tmp, **write_kw)
+    pq.write_table(table, tmp)
     ing._write_bloom_sidecar(tmp, table.column("url"))
     os.replace(tmp, path)
     os.replace(tmp + ".bloom", path + ".bloom")
 
 
 class TestPointLookups:
-    """``lookup_urls`` hashes the probe once, keeps decoded Bloom sidecars
-    per file version and reads only the row groups whose url statistics
-    admit a probe: none of it may change what a lookup returns."""
+    """``lookup_urls`` hashes the probe once and keeps decoded Bloom
+    sidecars per file version: none of it may change what a lookup
+    returns."""
 
     def test_lookup_after_each_mor_commit_matches_oracle(self, tmp_path):
         full = str(tmp_path / "all_events")
@@ -1133,41 +1140,6 @@ class TestPointLookups:
         held = sum(bf.bits.nbytes for bf in cache._entries.values())
         assert cache._bytes == held <= cache.budget
 
-    @pytest.mark.parametrize("stats", [True, False])
-    def test_lookup_reads_only_row_groups_holding_the_probe(
-            self, tmp_path, caplog, stats):
-        """A lake file of 4-row row groups: a lookup reads only the row
-        groups whose url range holds a probe (every row group when the
-        file has no statistics) and returns what a full read returns."""
-        import logging
-
-        import gene_etl_ray.pipelines.ingest as ing
-
-        ev = str(tmp_path / "events")
-        lake = str(tmp_path / "lake")
-        generate_events(ev, n_urls=60, n_events=200, n_epochs=2, seed=47)
-        run_ingest(EngineConfig(lake_dir=lake, num_partitions=1), ev)
-        [f] = current_files(lake)[0]
-        full = pq.read_table(f)
-        rewrite_lake_file(f, full, row_group_size=4, write_statistics=stats)
-        groups = pq.ParquetFile(f).metadata.num_row_groups
-        assert groups == -(-full.num_rows // 4) > 3
-        live = lake_df(lake)
-        probes = [list(live["url"].iloc[[7]]), list(live["url"].iloc[[3, 30, 31]])]
-        caplog.set_level(logging.DEBUG, logger=ing.__name__)
-        for probe in probes:
-            caplog.clear()
-            got = ing.lookup_urls(lake, probe).to_pandas().sort_values("url")
-            want = live[live["url"].isin(probe)]
-            pd.testing.assert_frame_equal(got.reset_index(drop=True),
-                                          want[got.columns].reset_index(drop=True))
-            # the stored rows are url-sorted and one per url: the probes'
-            # row groups are the groups holding their row positions
-            stored = full.column("url").to_pylist()
-            held = len({stored.index(u) // 4 for u in probe}) if stats else groups
-            [msg] = [r.getMessage() for r in caplog.records if "lookup_urls" in r.getMessage()]
-            assert msg == (f"lookup_urls: 1 files in 1 probed partitions, 1 kept by Bloom, "
-                           f"{held} row groups read"), msg
 
 class TestWriteAuditPublish:
     """WAP gate: staged output is audited distributed before anything

@@ -265,16 +265,19 @@ class TestText:
         """An int64 key joined to a float64 key of another name (an int
         column that carried a null, upcast by pandas): the rows and the
         column types are DuckDB's, where the per-bucket join once raised
-        on the two key types."""
+        on the two key types. A key above 2^53 matches the float64 it
+        rounds to, as DuckDB compares the two."""
         import duckdb
         import pyarrow as pa
         import ray
 
         from gene_etl_ray.ops.relational import partitioned_join
 
-        lt = pa.table({"k": pa.array([5, 7], pa.int64()), "v": pa.array([1, 2], pa.int64())})
-        rt = pa.table({"rk": pa.array([5.0, None], pa.float64()),
-                       "w": pa.array([10, 20], pa.int64())})
+        big = 2**53 + 1
+        lt = pa.table({"k": pa.array([5, 7, big], pa.int64()),
+                       "v": pa.array([1, 2, 3], pa.int64())})
+        rt = pa.table({"rk": pa.array([5.0, None, float(big)], pa.float64()),
+                       "w": pa.array([10, 20, 30], pa.int64())})
         out = partitioned_join(rd.from_arrow(lt), rd.from_arrow(rt), "k", "rk",
                                how=how, num_buckets=8)
         got = pa.concat_tables(ray.get(out.to_arrow_refs()))

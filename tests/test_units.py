@@ -7,7 +7,7 @@ import pytest
 
 from gene_etl_ray.config import EngineConfig, config_hash
 from gene_etl_ray.extract import HtmlTextExtractor, extract_text
-from gene_etl_ray.hashing import group_keys, hash_urls, partition_keys
+from gene_etl_ray.hashing import group_keys, hash_keys, hash_urls, partition_keys
 from gene_etl_ray.pipelines.normalize import canonicalize_url_one, normalize_batch
 from gene_etl_ray.schema import (
     SchemaEvolutionError,
@@ -94,6 +94,18 @@ class TestHashing:
         assert pk.min() >= 0 and pk.max() < 16
         # a url's partition never changes
         assert (pk == partition_keys(urls, 16)).all()
+
+    def test_int_beyond_2_53_hashes_as_its_float64(self):
+        """An integer key beyond ±2^53 compares equal to the float64 it
+        rounds to (DuckDB, Arrow's cast), so the two hash alike whatever
+        the column's dtype; integers within ±2^53 keep the int64 hash."""
+        big = [2**53 + 1, -(2**53) - 1, 2**63 - 1, 5, None]
+        as_float = hash_keys([pa.array([None if v is None else float(v) for v in big])])
+        for col in (pa.array(big, pa.int64()), np.array(big, dtype=object),
+                    np.array(big[:-1], dtype=np.int64)):
+            assert hash_keys([col]).tolist() == as_float.tolist()[:len(col)]
+        assert hash_keys([np.array([2**53 + 1], np.uint64)])[0] == as_float[0]
+        assert hash_keys([pa.array([2**53 + 1])])[0] != hash_keys([pa.array([2**53 + 3])])[0]
 
     def test_salting_preserves_per_url_grouping(self):
         urls = np.array(["https://h.com/a"] * 50 + ["https://h.com/b"] * 50, dtype=object)
