@@ -152,7 +152,11 @@ def bucketed_group_apply(
     def add_bucket(t: "pa.Table") -> "pa.Table":
         # only the KEY columns are hashed; payload columns stay Arrow
         bucket = hash_keys([t.column(k) for k in keys]) % np.uint64(num_buckets)
-        return t.append_column("__bucket", pa.array(bucket.astype(np.int64)))
+        # a block converted from pandas carries a b'pandas' schema-metadata
+        # dict, which Ray's shuffle cannot hash to deduplicate schemas
+        # ("Failed to hash the schemas" from every reduce task)
+        return t.append_column(
+            "__bucket", pa.array(bucket.astype(np.int64))).replace_schema_metadata(None)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return fn(g.drop(columns="__bucket"))
@@ -285,6 +289,14 @@ def _empty_pairs(with_est: bool = False) -> pd.DataFrame:
     if with_est:
         d["est_jaccard"] = pd.Series([], dtype="float64")
     return pd.DataFrame(d)
+
+
+def _first_per_pair(t: pa.Table) -> pa.Table:
+    """The first row of each ``(id_a, id_b)`` pair, in input order: the
+    ``bucket_post`` that drops a pair surfacing from several LSH bands."""
+    first = t.append_column("__row", pa.array(np.arange(t.num_rows))).group_by(
+        ["id_a", "id_b"], use_threads=False).aggregate([("__row", "min")])
+    return t.take(first.column("__row_min"))
 
 
 def _collapse_exact(
@@ -627,7 +639,7 @@ def _attach_est_jaccard(
     j = (
         partitioned_join(
             pairs, sig_a, "id_a", "__ia",
-            bucket_post=lambda df: df.drop_duplicates(["id_a", "id_b"]),
+            bucket_post=_first_per_pair,
         )
         .repartition(target_num_rows_per_block=500_000)
         .materialize()
@@ -1400,7 +1412,7 @@ def ngram_jaccard_pairs(
             j = (
                 partitioned_join(
                     stage.rep_pairs, docs_a, "id_a", "__ta_id",
-                    bucket_post=lambda df: df.drop_duplicates(["id_a", "id_b"]),
+                    bucket_post=_first_per_pair,
                 )
                 .repartition(target_num_rows_per_block=500_000)
                 .materialize()

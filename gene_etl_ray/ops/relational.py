@@ -106,212 +106,115 @@ def partitioned_join(
     num_buckets: int | None = None,
     how: str = "inner",
     bucket_post=None,
-    hot_keys: list | None = None,
-    salt: int = 8,
 ) -> ray.data.Dataset:
     """Both-sides-large hash join: add ``bucket = H(key) % B`` to each
-    side, tag the side, union, shuffle once on the bucket, and merge the
-    two sides pandas-wise inside each bucket group (the explicit
+    side, tag the side, union, shuffle once on the bucket, and join the
+    two sides inside each bucket group in Arrow (the explicit
     partitioned hash join from the Ray guide). Neither side is broadcast
-    or materialized; the single shuffle moves each row once. Hot join
-    keys can be salted exactly like the merge path (url-deterministic
-    sub-buckets) — not needed at testdata scale.
+    or materialized; the single shuffle moves each row once.
 
     Column-name collisions between the sides are the caller's problem
     (TPC-H-style disjoint prefixes assumed). Ray 2.49 also ships a native
     ``Dataset.join`` (hash-partitioned); this explicit form is kept
-    because it composes with the engine's url-deterministic salting and
-    makes the single-shuffle cost model visible.
+    because it makes the single-shuffle cost model visible and lets
+    ``bucket_post`` fold per-key work into the bucket pass.
 
-    ``hot_keys`` (skew handling): join keys whose row count would
-    overwhelm a single bucket task are SALTED — each hot key gets
-    ``salt`` dedicated sub-buckets; its LEFT rows scatter round-robin
-    across them while its RIGHT rows replicate into every sub-bucket,
-    so matching stays complete and the hot key's work spreads over
-    ``salt`` tasks instead of stalling one straggler (the standard
-    skew-join decomposition; the ingest path salts hot domains the same
-    way). Inner/left only: an outer join would emit an unmatched
-    replicated right row once per sub-bucket.
+    ``bucket_post`` (``pa.Table -> pa.Table``) runs on each bucket's join
+    result. A key's rows from both sides share one bucket, so a per-key
+    aggregate or dedup there is globally exact and costs no extra
+    shuffle.
 
     Null keys follow SQL: a null key matches nothing, on either side
     (Acero for inner/left/right/outer, ``is_in(skip_nulls=True)`` for
-    semi/anti), unlike ``pd.merge``, which matches NaN to NaN and still
-    runs when ``bucket_post`` is given. Keys an engine step derives
-    (hashes, n-grams, bucket ids) are never null; the callers whose keys
-    can be null join a column of their input data:
+    semi/anti), unlike a pandas merge, which matches NaN to NaN. Keys an
+    engine step derives (hashes, n-grams, bucket ids) are never null; the
+    callers whose keys can be null join a column of their input data:
     ``queries.customer_orders_left_join`` (``o_custkey``),
     ``queries.events_customers_full_outer`` (``user_id``), the
     ``ops/graph.py`` operators (edge-list node ids), the ``ops/dedup.py``
     representative anti joins (``id_col``) and the ``pipelines/curate.py``
     semi join (``id_col``)."""
-    if num_buckets is None:
-        num_buckets = _adaptive_buckets(left, right)
-    if hot_keys:
-        if how not in ("inner", "left", "semi", "anti"):
-            raise ValueError(
-                "hot_keys salting supports inner/left/semi/anti joins only"
-            )
-        hot = set(hot_keys)
-
-        def presalt(side: str):
-            def fn(t: pa.Table) -> pa.Table:
-                col = t.column(left_on if side == "l" else right_on)
-                keys = col.to_numpy(zero_copy_only=False)
-                is_hot = np.isin(keys, list(hot))
-                n_hot = int(is_hot.sum())
-                if not n_hot:
-                    return t.append_column("__salt", pa.array(
-                        np.full(len(keys), -1, np.int64), pa.int64()))
-                j = np.full(len(keys), -1, dtype=np.int64)
-                if side == "l":
-                    # scatter the hot rows round-robin over the sub-buckets
-                    j[is_hot] = np.arange(n_hot, dtype=np.int64) % salt
-                    t = t.append_column("__salt", pa.array(j, pa.int64()))
-                    return t
-                # right side: replicate each hot row into every sub-bucket
-                idx = np.arange(len(keys), dtype=np.int64)
-                rep = np.repeat(idx[is_hot], salt)
-                keep = t.append_column("__salt", pa.array(j, pa.int64()))
-                keep = keep.filter(pa.array(~is_hot))
-                dup = t.take(rep).append_column(
-                    "__salt",
-                    pa.array(np.tile(np.arange(salt, dtype=np.int64), n_hot),
-                             pa.int64()),
-                )
-                return pa.concat_tables([keep, dup])
-
-            return fn
-
-        left = left.map_batches(presalt("l"), batch_format="pyarrow")
-        right = right.map_batches(presalt("r"), batch_format="pyarrow")
-
-    both, lcols, rcols = _bucket_union(left, right, left_on, right_on, num_buckets)
-    if hot_keys:
-        # dedicated bucket namespace per (hot key, sub-bucket): shift the
-        # salted rows out of the hash buckets so the hot key never lands
-        # in one task. key identity folds into the hash bucket id.
-        def rebucket(t: pa.Table) -> pa.Table:
-            b = t.column("__bucket").to_numpy(zero_copy_only=False).copy()
-            j = t.column("__salt").to_numpy(zero_copy_only=False)
-            m = j >= 0
-            b[m] = num_buckets + (b[m] * np.int64(salt) + j[m])
-            t = t.drop_columns(["__bucket", "__salt"])
-            return t.append_column("__bucket", pa.array(b, pa.int64()))
-
-        both = both.map_batches(rebucket, batch_format="pyarrow")
-        lcols = [c for c in lcols if c != "__salt"]
-        rcols = [c for c in rcols if c != "__salt"]
-
-    if how in ("semi", "anti") and bucket_post is None:
-        # big⋈big SEMI / ANTI, ARROW-NATIVE: membership against the
-        # co-located right key set — per-bucket decisions are globally
-        # exact because a key's rows land in exactly one bucket (and
-        # under salting, every hot right row is replicated into each of
-        # the hot key's sub-buckets, so membership stays complete there
-        # too). Left columns only; right rows never multiply output.
-        # Staying pyarrow end-to-end matters here: semi/anti joins pass
-        # PAYLOAD columns through untouched, and a pandas round-trip
-        # mangles all-null string / binary columns (the late-extract
-        # winner path ships html through this join).
-        def join_bucket_pa(g: pa.Table) -> pa.Table:
-            lmask = pc.equal(g.column("__side"), "l")
-            lg = g.filter(lmask)
-            rkeys = g.filter(pc.invert(lmask)).column(right_on)
-            # skip_nulls=True is load-bearing: the default is_in treats
-            # a NULL in the value_set as matching NULL keys (review
-            # finding) — join semantics want a NULL key to match
-            # NOTHING (semi drops it; anti keeps it, like the pandas
-            # isin path: NaN ∉ set)
-            m = pc.is_in(
-                lg.column(left_on),
-                value_set=rkeys.combine_chunks().unique(),
-                skip_nulls=True,
-            )
-            if how == "semi":
-                m = pc.fill_null(m, False)
-            else:
-                m = pc.invert(pc.fill_null(m, False))
-            return lg.filter(m).select(
-                [c for c in lcols if c not in ("__side",)])
-
-        return both.groupby("__bucket").map_groups(
-            join_bucket_pa, batch_format="pyarrow")
-
     acero_how = {"inner": "inner", "left": "left outer",
                  "right": "right outer", "outer": "full outer"}
-    if bucket_post is None and how in acero_how:
-        # ARROW-NATIVE merge stage (r4 verdict item 3): the per-bucket
-        # hash join runs in Acero instead of pd.merge, so payload
-        # columns never box to pandas objects. coalesce_keys=False
-        # keeps BOTH key columns when the names differ — the exact
-        # pd.merge column set (left_on == right_on collapses to one
-        # key column in pandas, so coalesce there). Null join keys
-        # follow SQL semantics (no null==null match) — stricter than
-        # pd.merge and what the DuckDB oracles verify. bucket_post
-        # callers keep the pandas stage (their lambdas take frames).
-        def join_bucket_merge_pa(g: pa.Table) -> pa.Table:
-            lmask = pc.equal(g.column("__side"), "l")
-            lg = g.filter(lmask).select(lcols)
-            rg = g.filter(pc.invert(lmask)).select(rcols)
-            # Acero rejects arrow `null`-typed columns anywhere in a
-            # join (key OR payload). They appear when a bucket lacks
-            # one side entirely or an iterative caller fed an all-None
-            # pandas block. A null-typed column carries no values, so
-            # any concrete type is faithful: keys take the OTHER
-            # side's key type (null keys match nothing either way),
-            # payload columns take int64.
-            def solidify(t: pa.Table, key: str, other_key_t) -> pa.Table:
-                for i, f in enumerate(t.schema):
-                    if pa.types.is_null(f.type):
-                        want = other_key_t if f.name == key else pa.int64()
-                        if pa.types.is_null(want):
-                            want = pa.int64()
-                        t = t.set_column(
-                            i, pa.field(f.name, want),
-                            pa.nulls(t.num_rows, want))
-                return t
+    if how not in acero_how and how not in ("semi", "anti"):
+        raise ValueError(f"partitioned_join: unknown how={how!r}")
+    if num_buckets is None:
+        num_buckets = _adaptive_buckets(left, right)
+    both, lcols, rcols = _bucket_union(left, right, left_on, right_on, num_buckets)
 
-            lg = solidify(lg, left_on, rg.schema.field(right_on).type)
-            rg = solidify(rg, right_on, lg.schema.field(left_on).type)
-            lt, rt = lg.schema.field(left_on).type, rg.schema.field(right_on).type
-            if lt.equals(rt):
-                return lg.join(
-                    rg, keys=left_on, right_keys=right_on,
-                    join_type=acero_how[how],
-                    coalesce_keys=(left_on == right_on),
-                    left_suffix="_x", right_suffix="_y",
-                    use_threads=False)
-            # Acero joins only like-typed keys (int64 ⋈ float64 raises):
-            # join on both keys cast to their common type, and keep the
-            # key columns as they were, like pd.merge and DuckDB do. Only
-            # differently named keys get here: a shared key name has one
-            # type in the union schema. The cast is unsafe because
-            # ``__jk`` only matches rows: an int64 above 2^53 rounds to
-            # its float64, as DuckDB compares it.
-            common = pa.unify_schemas(
-                [pa.schema([("k", lt)]), pa.schema([("k", rt)])],
-                promote_options="permissive").field("k").type
-            lg = lg.append_column("__jk", lg.column(left_on).cast(common, safe=False))
-            rg = rg.append_column("__jk", rg.column(right_on).cast(common, safe=False))
-            return lg.join(
-                rg, keys="__jk", join_type=acero_how[how],
-                left_suffix="_x", right_suffix="_y",
-                use_threads=False).drop_columns(["__jk"])
-
-        return both.groupby("__bucket").map_groups(
-            join_bucket_merge_pa, batch_format="pyarrow")
-
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g.loc[g["__side"] == "l", lcols]
-        rg = g.loc[g["__side"] == "r", rcols]
+    def join_bucket(g: pa.Table) -> pa.Table:
+        lmask = pc.equal(g.column("__side"), "l")
+        lg = g.select(lcols).filter(lmask)
         if how in ("semi", "anti"):
-            m = lg[left_on].isin(set(rg[right_on]))
-            out = lg[m] if how == "semi" else lg[~m]
+            # membership against the co-located right key set: left
+            # columns only, right rows never multiply the output. Not an
+            # Acero semi join, which rejects list payload columns ("Data
+            # type list<item: int64> is not supported in join non-key
+            # field"). skip_nulls=True: the default is_in lets a NULL in
+            # the value set match NULL keys, and a NULL key matches
+            # nothing (semi drops it, anti keeps it).
+            rkeys = g.column(right_on).filter(pc.invert(lmask))
+            m = pc.fill_null(pc.is_in(
+                lg.column(left_on), value_set=rkeys.combine_chunks().unique(),
+                skip_nulls=True), False)
+            out = lg.filter(m if how == "semi" else pc.invert(m))
         else:
-            out = lg.merge(rg, left_on=left_on, right_on=right_on, how=how)
-        return bucket_post(out) if bucket_post is not None else out
+            rg = g.select(rcols).filter(pc.invert(lmask))
+            out = _acero_join(lg, rg, left_on, right_on, acero_how[how])
+        return out if bucket_post is None else bucket_post(out)
 
-    return both.groupby("__bucket").map_groups(join_bucket, batch_format="pandas")
+    return both.groupby("__bucket").map_groups(join_bucket, batch_format="pyarrow")
+
+
+def _common_type(a: pa.DataType, b: pa.DataType) -> pa.DataType:
+    """Arrow's permissive promotion of two key types (int64 and float64
+    give float64; null gives the other type)."""
+    return pa.unify_schemas(
+        [pa.schema([("k", a)]), pa.schema([("k", b)])],
+        promote_options="permissive").field("k").type
+
+
+def _acero_join(lg: pa.Table, rg: pa.Table, left_on: str, right_on: str,
+                join_type: str) -> pa.Table:
+    """One bucket's inner/outer join in Acero. ``coalesce_keys`` keeps
+    both key columns when the names differ and one when they match, the
+    pandas merge and DuckDB ``USING`` column set."""
+    # Acero rejects arrow `null`-typed columns anywhere in a join (key OR
+    # payload). They appear when a bucket lacks one side entirely or an
+    # iterative caller fed an all-None pandas block. A null-typed column
+    # carries no values, so any concrete type is faithful: keys take the
+    # OTHER side's key type (null keys match nothing either way), payload
+    # columns take int64.
+    def solidify(t: pa.Table, key: str, other_key_t) -> pa.Table:
+        for i, f in enumerate(t.schema):
+            if pa.types.is_null(f.type):
+                want = other_key_t if f.name == key else pa.int64()
+                if pa.types.is_null(want):
+                    want = pa.int64()
+                t = t.set_column(i, pa.field(f.name, want), pa.nulls(t.num_rows, want))
+        return t
+
+    lg = solidify(lg, left_on, rg.schema.field(right_on).type)
+    rg = solidify(rg, right_on, lg.schema.field(left_on).type)
+    lt, rt = lg.schema.field(left_on).type, rg.schema.field(right_on).type
+    if lt.equals(rt):
+        return lg.join(
+            rg, keys=left_on, right_keys=right_on, join_type=join_type,
+            coalesce_keys=(left_on == right_on),
+            left_suffix="_x", right_suffix="_y", use_threads=False)
+    # Acero joins only like-typed keys (int64 ⋈ float64 raises): join on
+    # both keys cast to their common type, and keep the key columns as
+    # they were, like pandas and DuckDB do. Only differently named keys
+    # get here: a shared key name has one type in the union schema. The
+    # cast is unsafe because ``__jk`` only matches rows: an int64 above
+    # 2^53 rounds to its float64, as DuckDB compares it.
+    common = _common_type(lt, rt)
+    lg = lg.append_column("__jk", lg.column(left_on).cast(common, safe=False))
+    rg = rg.append_column("__jk", rg.column(right_on).cast(common, safe=False))
+    return lg.join(
+        rg, keys="__jk", join_type=join_type,
+        left_suffix="_x", right_suffix="_y", use_threads=False,
+    ).drop_columns(["__jk"])
 
 
 def _bucket_union(
@@ -344,24 +247,37 @@ def _bucket_union(
             )
         return ds, s
 
-    def arrow_schema(s) -> pa.Schema:
+    def arrow_schema(s, key: str) -> pa.Schema:
         base = s.base_schema
         if isinstance(base, pa.Schema):
             return base
         # pandas-block dataset (e.g. a map_groups output): map numpy
-        # dtypes; object columns are strings by convention here
+        # dtypes; object columns are strings by convention here, except
+        # the key, which stays null-typed until the other side types it
         fields = []
         for name, dt in zip(base.names, base.types):
             try:
                 fields.append(pa.field(name, pa.from_numpy_dtype(dt)))
             except (pa.ArrowNotImplementedError, TypeError):
-                fields.append(pa.field(name, pa.string()))
+                fields.append(pa.field(name, pa.null() if name == key else pa.string()))
         return pa.schema(fields)
 
     left, ls_raw = ensure_schema(left)
     right, rs_raw = ensure_schema(right)
-    ls = arrow_schema(ls_raw)
-    rs = arrow_schema(rs_raw)
+    ls = arrow_schema(ls_raw, left_on)
+    rs = arrow_schema(rs_raw, right_on)
+    lt, rt = ls.field(left_on).type, rs.field(right_on).type
+
+    def key_type(own: pa.DataType, other: pa.DataType) -> pa.DataType:
+        # a shared key name is one union column: both sides' promoted
+        # type (int64 and float64 give float64, so 5.5 is not truncated);
+        # an untyped key takes the other side's type
+        if left_on == right_on or pa.types.is_null(own):
+            own = _common_type(own, other)
+        return pa.string() if pa.types.is_null(own) else own
+
+    ls = ls.set(ls.get_field_index(left_on), pa.field(left_on, key_type(lt, rt)))
+    rs = rs.set(rs.get_field_index(right_on), pa.field(right_on, key_type(rt, lt)))
     lcols, rcols = list(ls.names), list(rs.names)
     union_schema = pa.schema(
         list(ls)
@@ -370,10 +286,16 @@ def _bucket_union(
     )
 
     def keyed(tag: str, col: str):
+        key = union_schema.field(col)
+
         def fn(t: pa.Table) -> pa.Table:
             bucket = (
                 hash_keys([t.column(col)]) % np.uint64(num_buckets)
             ).astype("int64")
+            # unsafe: an int64 above 2^53 rounds to its float64 under a
+            # promoted key type, as DuckDB compares it (and hashes alike)
+            i = t.schema.get_field_index(col)
+            t = t.set_column(i, key, t.column(i).cast(key.type, safe=False))
             t = t.append_column("__bucket", pa.array(bucket, pa.int64()))
             t = t.append_column("__side", pa.array([tag] * len(bucket), pa.string()))
             return conform_table(t, union_schema)
@@ -479,26 +401,23 @@ def range_join_bucketed(
     bucket_post=None,
 ) -> ray.data.Dataset:
     """Big⋈big RANGE join: equality on the by-key plus interval
-    containment ``start_right <= on_left < end_right``. Both sides are
-    co-located by ``H(by_key) % B`` (one shuffle); within a bucket the
-    per-key equality merge runs first and the interval predicate filters
-    the per-key cross product — the standard range-join cost model, with
-    the documented partitioning assumption that per-key fan-out
-    (rows-per-key on each side) is bounded. ``bucket_post`` can fold an
-    aggregation into the bucket pass (complete per by-key, since every
-    row of a key shares its bucket)."""
-    if num_buckets is None:
-        num_buckets = _adaptive_buckets(left, right)
-    both, lcols, rcols = _bucket_union(left, right, by_left, by_right, num_buckets)
+    containment ``start_right <= on_left < end_right``. It is an inner
+    ``partitioned_join`` on the by-key whose bucket pass filters the
+    per-key cross product by the interval and then applies
+    ``bucket_post`` (``pa.Table -> pa.Table``) — the standard range-join
+    cost model, with the documented partitioning assumption that per-key
+    fan-out (rows-per-key on each side) is bounded. ``bucket_post`` can
+    fold an aggregation into the bucket pass (complete per by-key, since
+    every row of a key shares its bucket)."""
 
-    def range_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g.loc[g["__side"] == "l", lcols]
-        rg = g.loc[g["__side"] == "r", rcols]
-        m = lg.merge(rg, left_on=by_left, right_on=by_right)
-        m = m[(m[on_left] >= m[start_right]) & (m[on_left] < m[end_right])]
-        return bucket_post(m) if bucket_post is not None else m
+    def in_range(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.and_(
+            pc.greater_equal(t.column(on_left), t.column(start_right)),
+            pc.less(t.column(on_left), t.column(end_right))))
+        return t if bucket_post is None else bucket_post(t)
 
-    return both.groupby("__bucket").map_groups(range_bucket, batch_format="pandas")
+    return partitioned_join(left, right, by_left, by_right,
+                            num_buckets=num_buckets, bucket_post=in_range)
 
 
 def semi_filter(ds: ray.data.Dataset, column: str, values) -> ray.data.Dataset:
@@ -2228,8 +2147,8 @@ def skew_report(
     occupied buckets, the heaviest bucket's share, and the Gini
     coefficient of bucket sizes (0 = perfectly even shuffle, →1 = one
     straggler task does everything). The numbers that decide whether a
-    key needs salting (``partitioned_join hot_keys`` /
-    ``ingest``'s hot-domain salting) BEFORE the expensive shuffle runs.
+    key needs salting (``ingest``'s hot-domain salting) BEFORE the
+    expensive shuffle runs.
     One pass of tiny per-batch partials; the driver folds ``n_buckets``
     integers."""
 

@@ -89,7 +89,7 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
     orders = read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
     orders_b = relational.partitioned_join(
         orders, cust_b, "o_custkey", "c_custkey",
-        bucket_post=lambda df: df[["o_orderkey", "o_orderdate"]],
+        bucket_post=lambda t: t.select(["o_orderkey", "o_orderdate"]),
     )
 
     li = read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
@@ -99,15 +99,18 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
                         pc.subtract(pa.scalar(1.0), b.column("l_discount")))
         return b.append_column("rev", r).select(["l_orderkey", "rev"])
 
-    def local_top(df: pd.DataFrame) -> pd.DataFrame:
+    def local_top(t: pa.Table) -> pa.Table:
         # the bucket holds EVERY lineitem of each of its orders, so the
         # per-order sum is complete here; local top-10 under the same
         # total order as the global merge keeps the candidate set tiny
-        agg = df.groupby(["l_orderkey", "o_orderdate"], as_index=False)["rev"].sum()
-        agg["revenue"] = agg["rev"].round(2)
-        return agg.drop(columns=["rev"]).sort_values(
-            ["revenue", "l_orderkey"], ascending=[False, True]
-        ).head(10)
+        agg = t.group_by(["l_orderkey", "o_orderdate"]).aggregate([("rev", "sum")])
+        # np.round, not pc.round: the two disagree on sums within float
+        # error of a half cent
+        agg = agg.append_column(
+            "revenue", pa.array(np.round(agg.column("rev_sum").to_numpy(), 2)))
+        return agg.drop_columns(["rev_sum"]).sort_by(
+            [("revenue", "descending"), ("l_orderkey", "ascending")]
+        ).slice(0, 10)
 
     cands = relational.partitioned_join(
         li.map_batches(rev, batch_format="pyarrow"), orders_b,
@@ -155,11 +158,10 @@ def q5_nation_revenue(sf_dir: str) -> pd.DataFrame:
                         pc.subtract(pa.scalar(1.0), b.column("l_discount")))
         return b.append_column("rev", r).select(["l_orderkey", "rev"])
 
-    def per_cust(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("o_custkey", as_index=False).agg(
-            rev_sum=("rev", "sum"), n_items=("rev", "size")
-        )
-        return g
+    def per_cust(t: pa.Table) -> pa.Table:
+        g = t.group_by("o_custkey").aggregate([("rev", "sum"), ([], "count_all")])
+        return pa.table({"o_custkey": g["o_custkey"], "rev_sum": g["rev_sum"],
+                         "n_items": g["count_all"]})
 
     partials = relational.partitioned_join(
         li.map_batches(rev, batch_format="pyarrow"), orders,
@@ -1324,12 +1326,11 @@ def orders_repeat_within_90d(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    def per_order(m: pd.DataFrame) -> pd.DataFrame:
+    def per_order(m: pa.Table) -> pa.Table:
         # strict follow-ups only: later date, not the same order
-        m = m[m["o_orderdate"] > m["a_start"]]
-        return m.groupby("a_orderkey", as_index=False).agg(
-            n_followups=("o_orderkey", "size")
-        )
+        m = m.filter(pc.greater(m.column("o_orderdate"), m.column("a_start")))
+        g = m.group_by("a_orderkey").aggregate([([], "count_all")])
+        return pa.table({"a_orderkey": g["a_orderkey"], "n_followups": g["count_all"]})
 
     left = base.map_batches(as_left, batch_format="pyarrow")
     out = relational.range_join_bucketed(

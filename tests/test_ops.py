@@ -50,6 +50,52 @@ class TestDedup:
         out = dedup.ngram_jaccard_pairs(ds_from(df), threshold=0.9)
         assert len(out) == 1 and out["jaccard"].iloc[0] == 1.0
 
+    def test_bucketed_group_apply_shuffles_blocks_without_schema_metadata(
+            self, monkeypatch):
+        """Blocks converted from pandas carry a b'pandas' schema-metadata
+        dict, which Ray's shuffle cannot hash ("Failed to hash the
+        schemas" from every reduce task): the blocks entering the bucket
+        shuffle carry no schema metadata."""
+        import ray
+
+        shuffled = []
+        groupby = rd.Dataset.groupby
+
+        def spy(self, key, *args, **kwargs):
+            shuffled.append(self)
+            return groupby(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(rd.Dataset, "groupby", spy)
+        df = pd.DataFrame({"k": [1, 2, 1, 3], "v": [1, 2, 3, 4]})
+        out = dedup.bucketed_group_apply(
+            rd.from_pandas(df), ["k"],
+            lambda g: g.groupby("k", as_index=False)["v"].sum(),
+        ).to_pandas()
+        assert dict(zip(out["k"], out["v"])) == {1: 4, 2: 2, 3: 4}
+        (pre,) = shuffled
+        blocks = ray.get(pre.to_arrow_refs())
+        assert blocks and all(b.schema.metadata is None for b in blocks)
+
+    @pytest.mark.parametrize("fn", ["minhash_lsh_candidates", "ngram_jaccard_pairs"])
+    def test_pair_join_branch_matches_gather(self, fn, monkeypatch):
+        """Above the gather limits the candidate pairs take the
+        partitioned-join branch, whose first join drops the pairs that
+        surface from several bands in its bucket pass; on a corpus where
+        near-duplicates share most bands it returns what the bounded
+        gather returns."""
+        words = [f"w{i}" for i in range(60)]
+        base = " ".join(words)
+        texts = [base, base + " tail", base.replace("w30", "x30"), base,
+                 " ".join(reversed(words)), "unrelated words " * 20]
+        df = pd.DataFrame({"doc_id": np.arange(1, len(texts) + 1), "text": texts})
+        run = getattr(dedup, fn)
+        want = run(ds_from(df))
+        assert len(want) >= 3
+        monkeypatch.setattr(dedup, "PAIR_GATHER_LIMIT", 0)
+        monkeypatch.setattr(dedup, "TEXT_BROADCAST_LIMIT", 0)
+        got = run(ds_from(df))
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
 
 class TestText:
     def test_langid(self):
@@ -262,11 +308,19 @@ class TestText:
 
     @pytest.mark.parametrize("how", ["inner", "left", "right", "outer"])
     def test_partitioned_join_int_key_meets_float_key(self, how):
-        """An int64 key joined to a float64 key of another name (an int
-        column that carried a null, upcast by pandas): the rows and the
+        """An int64 key joined to a key of another type: the rows and the
         column types are DuckDB's, where the per-bucket join once raised
-        on the two key types. A key above 2^53 matches the float64 it
-        rounds to, as DuckDB compares the two."""
+        on the two key types. The right keys are
+        - a float64 key of another name (an int column that carried a
+          null, upcast by pandas); a key above 2^53 matches the float64
+          it rounds to, as DuckDB compares the two;
+        - an object column of ints in a pandas block, which takes the
+          int64 key's type, not the string type of other object columns;
+        - a float64 key of the same name holding 5.5: one coalesced key
+          column, as DuckDB's ``USING (k)``, of the promoted type float64
+          (DuckDB keeps the left key's type for inner and left joins),
+          and a right join puts it after the left payload (Acero's
+          layout; DuckDB puts it first)."""
         import duckdb
         import pyarrow as pa
         import ray
@@ -276,16 +330,35 @@ class TestText:
         big = 2**53 + 1
         lt = pa.table({"k": pa.array([5, 7, big], pa.int64()),
                        "v": pa.array([1, 2, 3], pa.int64())})
-        rt = pa.table({"rk": pa.array([5.0, None, float(big)], pa.float64()),
-                       "w": pa.array([10, 20, 30], pa.int64())})
-        out = partitioned_join(rd.from_arrow(lt), rd.from_arrow(rt), "k", "rk",
-                               how=how, num_buckets=8)
-        got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+        float_key = pa.table({"rk": pa.array([5.0, None, float(big)], pa.float64()),
+                              "w": pa.array([10, 20, 30], pa.int64())})
+        object_key = pd.DataFrame({"rk": np.array([5, None], dtype=object),
+                                   "w": [10, 20]})
+        same_name = pa.table({"k": pa.array([5.0, 5.5, None], pa.float64()),
+                              "w": pa.array([10, 20, 30], pa.int64())})
         sql = {"inner": "INNER", "left": "LEFT", "right": "RIGHT", "outer": "FULL OUTER"}[how]
-        want = duckdb.sql(f"SELECT * FROM lt {sql} JOIN rt ON lt.k = rt.rk").arrow()
-        assert got.schema.names == want.schema.names
-        assert got.schema.types == want.schema.types
-        assert sorted(got.to_pylist(), key=str) == sorted(want.to_pylist(), key=str)
+        cases = [
+            (rd.from_arrow(float_key), "rk", float_key, "ON lt.k = rt.rk"),
+            (rd.from_pandas(object_key), "rk",
+             pa.table({"rk": pa.array([5, None], pa.int64()), "w": object_key["w"]}),
+             "ON lt.k = rt.rk"),
+            (rd.from_arrow(same_name), "k", same_name, "USING (k)"),
+        ]
+        for right, right_on, rt, cond in cases:
+            out = partitioned_join(rd.from_arrow(lt), right, "k", right_on,
+                                   how=how, num_buckets=8)
+            got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+            con = duckdb.connect()
+            con.register("lt", lt)
+            con.register("rt", rt)
+            want = con.sql(f"SELECT * FROM lt {sql} JOIN rt {cond}").arrow()
+            if right_on == "k":
+                assert got.schema.field("k").type == pa.float64()
+                got = got.select(want.schema.names)
+                want = want.cast(got.schema, safe=False)
+            assert got.schema.names == want.schema.names, cond
+            assert got.schema.types == want.schema.types, cond
+            assert sorted(got.to_pylist(), key=str) == sorted(want.to_pylist(), key=str), cond
 
     def test_pmi_collocations_hand_counts(self):
         """Toy corpus where PMI is hand-derivable: 'new york' occurs 6x
@@ -1537,62 +1610,6 @@ class TestTrailingWindowCount:
         assert out2.loc[out2["id"] == 14, "n"].item() == 4
 
 
-class TestSkewJoin:
-    def test_hot_key_salting_matches_unsalted(self, ray_session):
-        import ray.data as rd
-        from gene_etl_ray.ops.relational import partitioned_join
-
-        rng = np.random.default_rng(3)
-        n = 4000
-        # one pathological key carries half the left side
-        lk = np.where(rng.random(n) < 0.5, 7, rng.integers(0, 200, n))
-        left = pd.DataFrame({"lk": lk, "lv": np.arange(n)})
-        right = pd.DataFrame(
-            {"rk": np.arange(0, 200), "rv": np.arange(0, 200) * 10}
-        )
-
-        def run(**kw):
-            out = partitioned_join(
-                rd.from_pandas(left, override_num_blocks=4),
-                rd.from_pandas(right, override_num_blocks=2),
-                "lk", "rk", num_buckets=8, **kw,
-            ).to_pandas()
-            return out.sort_values(["lk", "lv"]).reset_index(drop=True)[
-                ["lk", "lv", "rk", "rv"]
-            ]
-
-        plain = run(how="inner")
-        salted = run(how="inner", hot_keys=[7], salt=4)
-        pd.testing.assert_frame_equal(plain, salted, check_dtype=False)
-
-        # left join: unmatched-left rows survive salting identically
-        right2 = right[right["rk"] % 3 == 0]
-        def run2(**kw):
-            out = partitioned_join(
-                rd.from_pandas(left, override_num_blocks=4),
-                rd.from_pandas(right2, override_num_blocks=2),
-                "lk", "rk", num_buckets=8, **kw,
-            ).to_pandas()
-            return out.sort_values(["lk", "lv"]).reset_index(drop=True)[
-                ["lk", "lv", "rk", "rv"]
-            ]
-        pd.testing.assert_frame_equal(
-            run2(how="left"), run2(how="left", hot_keys=[7], salt=4),
-            check_dtype=False,
-        )
-
-    def test_outer_with_hot_keys_rejected(self, ray_session):
-        import ray.data as rd
-        from gene_etl_ray.ops.relational import partitioned_join
-
-        df = pd.DataFrame({"k": [1], "v": [1]})
-        with pytest.raises(ValueError):
-            partitioned_join(
-                rd.from_pandas(df), rd.from_pandas(df.rename(columns={"k": "k2", "v": "v2"})),
-                "k", "k2", how="outer", hot_keys=[1],
-            )
-
-
 class TestMediaResize:
     def test_png_nearest_neighbor_values(self):
         from gene_etl_ray.ops.multimodal import (
@@ -1895,21 +1912,6 @@ class TestSemiAntiJoin:
         assert list(anti["k"]) == sorted(set(lk) - present)
         # right multiplicity never multiplies output; left cols only
         assert list(semi.columns) == ["k", "v"]
-        # salting a hot key changes nothing semantically
-        anti_s = relational.partitioned_join(
-            left, right, "k", "rk", how="anti",
-            hot_keys=[int(rk[0])], salt=4,
-        ).to_pandas().sort_values("k").reset_index(drop=True)
-        pd.testing.assert_frame_equal(anti, anti_s)
-
-    def test_outer_with_hot_keys_still_rejected(self):
-        left = rd.from_pandas(pd.DataFrame({"k": [1], "v": [1.0]}))
-        right = rd.from_pandas(pd.DataFrame({"rk": [1], "w": [2.0]}))
-        import pytest as _pytest
-        with _pytest.raises(ValueError, match="inner/left/semi/anti"):
-            relational.partitioned_join(
-                left, right, "k", "rk", how="outer", hot_keys=[1]
-            )
 
 
 class TestNovelty:
