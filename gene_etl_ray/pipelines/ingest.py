@@ -1080,8 +1080,17 @@ def _task_dataset(name: str, fns: list) -> "ray.data.Dataset":
 
 def _task_table(name: str, fns: list) -> pa.Table:
     """Run ``fns`` as one ``_task_dataset`` execution and concatenate
-    their small output blocks (reports, manifest rows) on the driver."""
-    return pa.concat_tables(ray.get(_task_dataset(name, fns).to_arrow_refs()))
+    their small output blocks (reports, manifest rows) on the driver.
+
+    The block refs come from one ``materialize``: ``to_arrow_refs``
+    fetches the schema after executing, through a second ``limit(1)``
+    execution that reruns the tasks and cancels them mid-way, and these
+    tasks write files (a rerun truncated a merge task's ``.tmp-`` file
+    before its commit renamed it, and left export tmp files behind)."""
+    ds = _task_dataset(name, fns).materialize()
+    return pa.concat_tables(
+        ray.get([ref for bundle in ds.iter_internal_ref_bundles() for ref in bundle.block_refs])
+    )
 
 
 def _stored_rows(

@@ -291,6 +291,39 @@ def test_group_runs_two_dataset_executions(tmp_events, tmp_lake, monkeypatch, mo
     assert_matches_oracle(tmp_lake, tmp_events)
 
 
+def test_task_table_runs_each_task_once(tmp_path, monkeypatch):
+    """The lake passes that write files (compaction, transform, export,
+    repartition) run through ``_task_table``: one Dataset execution, each
+    task once. A second run of a writer task truncates or strands its
+    tmp file."""
+    import functools
+
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from gene_etl_ray.pipelines.ingest import _task_table
+
+    d = str(tmp_path)
+
+    def touch(i):
+        import tempfile
+
+        os.close(tempfile.mkstemp(prefix=f"{i}.", dir=d)[0])
+        return pa.table({"i": [i]})
+
+    execs = []
+    real = StreamingExecutor.execute
+
+    def counted(self, *a, **kw):
+        execs.append(1)
+        return real(self, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    t = _task_table("Touch", [functools.partial(touch, i) for i in range(6)])
+    assert sorted(t.column("i").to_pylist()) == list(range(6))
+    assert len(execs) == 1
+    assert sorted(int(n.split(".")[0]) for n in os.listdir(d)) == list(range(6))
+
+
 def test_hot_cow_partitions_merge_into_committed_files(tmp_events, tmp_lake, tmp_path):
     """Copy-on-write partitions committed cold (one file with every salt)
     and then merged hot (each salt's merge task keeps only its share of
