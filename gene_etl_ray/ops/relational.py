@@ -178,7 +178,8 @@ def _acero_join(lg: pa.Table, rg: pa.Table, left_on: str, right_on: str,
                 join_type: str) -> pa.Table:
     """One bucket's inner/outer join in Acero. ``coalesce_keys`` keeps
     both key columns when the names differ and one when they match, the
-    pandas merge and DuckDB ``USING`` column set."""
+    pandas merge and DuckDB ``USING`` column set, in their order: the
+    left side's columns, then the right's."""
     # Acero rejects arrow `null`-typed columns anywhere in a join (key OR
     # payload). They appear when a bucket lacks one side entirely or an
     # iterative caller fed an all-None pandas block. A null-typed column
@@ -198,10 +199,18 @@ def _acero_join(lg: pa.Table, rg: pa.Table, left_on: str, right_on: str,
     rg = solidify(rg, right_on, lg.schema.field(left_on).type)
     lt, rt = lg.schema.field(left_on).type, rg.schema.field(right_on).type
     if lt.equals(rt):
-        return lg.join(
+        out = lg.join(
             rg, keys=left_on, right_keys=right_on, join_type=join_type,
             coalesce_keys=(left_on == right_on),
             left_suffix="_x", right_suffix="_y", use_threads=False)
+        if left_on == right_on and join_type == "right outer":
+            # Acero emits the coalesced key among the right columns; it
+            # goes back to the left key's place
+            names = out.schema.names
+            names.remove(left_on)
+            names.insert(lg.schema.get_field_index(left_on), left_on)
+            out = out.select(names)
+        return out
     # Acero joins only like-typed keys (int64 ⋈ float64 raises): join on
     # both keys cast to their common type, and keep the key columns as
     # they were, like pandas and DuckDB do. Only differently named keys
@@ -729,9 +738,17 @@ class BloomFilter:
     def contains_hashes(self, h1: np.ndarray) -> np.ndarray:
         """``contains`` for keys already hashed: a caller that probes many
         filters with one key set hashes it once."""
+        return self.contains_probe(self.probe(h1))
+
+    def probe(self, h1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The byte offsets and bit masks of ``_positions(h1)``: every
+        filter of this ``(m, k)`` tests a key set with the same probe."""
         pos = self._positions(h1)
-        hit = (self.bits[pos >> 3] & (1 << (pos & 7)).astype(np.uint8)) != 0
-        return hit.all(axis=1)
+        return pos >> 3, (1 << (pos & 7)).astype(np.uint8)
+
+    def contains_probe(self, probe: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        byte, mask = probe
+        return (self.bits[byte] & mask).all(axis=1)
 
     def contains(self, values) -> np.ndarray:
         return self.contains_hashes(hash_keys([values]))

@@ -67,6 +67,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -89,13 +90,19 @@ from gene_etl_ray.state.checkpoint import (
     effective_watermarks,
     event_time_watermark,
     last_global_epoch,
+    meta_path,
     read_lake_meta,
     write_checkpoint,
     write_global_epoch,
     write_lake_meta,
 )
 from gene_etl_ray.state.lineage import append_lineage
-from gene_etl_ray.state.manifest import commit_partition, current_files
+from gene_etl_ray.state.manifest import (
+    commit_partition,
+    current_files,
+    manifest_path,
+    repart_overlay_path,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -727,51 +734,135 @@ def _load_bloom_sidecar(parquet_path: str):
         return None  # corrupt sidecar ⇒ fall back to reading the file
 
 
-# filter bits the process keeps decoded, over every lake it has probed
-_SIDECAR_CACHE_BYTES = 64 << 20
+# lake state the process keeps parsed, over every lake it has read
+_LAKE_STATE_BYTES = 64 << 20
+# a JSON entry is counted at this multiple of its file's bytes: the
+# bytes it keeps plus their parse, which measures 2-6x the bytes
+_JSON_WEIGHT = 8
 
 
-class _SidecarCache:
-    """Decoded Bloom sidecars, process-wide, least recently used first
-    out past ``budget`` bytes of filter bits. A committed sidecar never
-    changes, but a crash re-run or a copy-on-write rewrite can rename new
-    bytes onto an old path, so an entry is keyed on the file's identity
-    ``(path, inode, mtime, size)``, never on the path alone. A miss goes
-    through ``_load_bloom_sidecar``: a missing or corrupt sidecar is None
-    (read the file) and is not kept. Locked: a process may look up from
-    several threads at once (a threaded server)."""
+class _StateFile(NamedTuple):
+    raw: bytes  # the file's bytes the parse was made from
+    value: object  # the parsed JSON
+    decoded: object  # what the reader derives from it once (a schema)
+
+
+class _LakeStateCache:
+    """What readers parse from a lake's state files, process-wide, least
+    recently used first out past ``budget`` bytes. Entries are keyed by
+    path, of two kinds:
+
+    - a decoded Bloom sidecar (``get``). A committed sidecar never
+      changes, but a crash re-run or a copy-on-write rewrite can rename
+      new bytes onto an old path, so the key is the file's identity
+      ``(path, inode, mtime, size)``. A miss goes through
+      ``_load_bloom_sidecar``: a missing or corrupt sidecar is None
+      (read the file) and is not kept.
+    - a parsed JSON state file (``json``): the lake meta, the
+      repartition overlay, a partition manifest. Each call reads the
+      file's bytes afresh (a few µs) and reuses the parse only while they
+      equal the bytes it was made from: exact, whatever the file's mtime,
+      inode or size say, and whether or not its writer recorded a global
+      epoch (compaction, transform and repartition do not).
+
+    Values are shared between callers and threads: read-only. Locked: a
+    process may read from several threads at once (a threaded server)."""
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
         self._entries: OrderedDict = OrderedDict()
+        self._sizes: dict = {}
         self._bytes = 0
         self._lock = threading.Lock()
 
+    def _hit(self, key):
+        with self._lock:
+            v = self._entries.get(key)
+            if v is not None:
+                self._entries.move_to_end(key)
+            return v
+
+    def _put(self, key, value, nbytes: int) -> None:
+        with self._lock:
+            if key in self._entries:
+                self._bytes -= self._sizes[key]
+            self._entries[key], self._sizes[key] = value, nbytes
+            self._entries.move_to_end(key)
+            self._bytes += nbytes
+            while self._bytes > self.budget:
+                old, _ = self._entries.popitem(last=False)
+                self._bytes -= self._sizes.pop(old)
+
     def get(self, parquet_path: str):
+        """The decoded Bloom sidecar of a lake file, or None (read it)."""
         try:
             st = os.stat(_bloom_sidecar_path(parquet_path))
         except OSError:
             return _load_bloom_sidecar(parquet_path)
         key = (parquet_path, st.st_ino, st.st_mtime_ns, st.st_size)
-        with self._lock:
-            bf = self._entries.get(key)
-            if bf is not None:
-                self._entries.move_to_end(key)
-                return bf
-        bf = _load_bloom_sidecar(parquet_path)
-        if bf is None:
-            return None
-        with self._lock:
-            if key not in self._entries:
-                self._entries[key] = bf
-                self._bytes += bf.bits.nbytes
-                while self._bytes > self.budget:
-                    _, old = self._entries.popitem(last=False)
-                    self._bytes -= old.bits.nbytes
+        bf = self._hit(key)
+        if bf is None and (bf := _load_bloom_sidecar(parquet_path)) is not None:
+            self._put(key, bf, bf.bits.nbytes)
         return bf
 
+    def json(self, path: str, decode=None) -> _StateFile | None:
+        """The JSON state file at ``path`` parsed, with ``decode`` of it,
+        or None when there is no such file."""
+        try:
+            with open(path, "rb") as f:
+                raw = f.read()
+        except FileNotFoundError:
+            return None
+        e = self._hit(path)
+        if e is None or e.raw != raw:
+            value = json.loads(raw)
+            e = _StateFile(raw, value, decode(value) if decode else None)
+            self._put(path, e, _JSON_WEIGHT * len(raw))
+        return e
 
-_SIDECARS = _SidecarCache(_SIDECAR_CACHE_BYTES)
+
+_LAKE_STATE = _LakeStateCache(_LAKE_STATE_BYTES)
+# the names of the cache from when it held only Bloom sidecars
+_SidecarCache, _SIDECARS = _LakeStateCache, _LAKE_STATE
+
+
+def _meta_schema(meta: dict) -> pa.Schema:
+    return _schema_from_hex(meta["schema_hex"])
+
+
+def _read_state(lake_dir: str) -> tuple[dict | None, pa.Schema | None, dict | None]:
+    """The lake meta, its schema and the repartition overlay (None
+    without one), through ``_LAKE_STATE``. The overlay, while it exists,
+    is authoritative for the meta and for every manifest
+    (:func:`repartition_lake`), so both come from the one read of it."""
+    ov = _LAKE_STATE.json(repart_overlay_path(lake_dir), lambda o: _meta_schema(o["meta"]))
+    if ov is not None:
+        return ov.value["meta"], ov.decoded, ov.value
+    m = _LAKE_STATE.json(meta_path(lake_dir), _meta_schema)
+    return (m.value, m.decoded, None) if m else (None, None, None)
+
+
+def _read_manifests(
+    lake_dir: str, overlay: dict | None, pkeys: list[int] | None = None
+) -> dict[int, dict]:
+    """pkey → current manifest of each partition of ``pkeys`` that has
+    one (every partition when None), in pkey order, each manifest read
+    once through ``_LAKE_STATE``: the reader-side ``current_files`` and
+    ``read_manifest`` in one pass."""
+    if overlay is not None:
+        ms = {int(k): m for k, m in overlay["manifests"].items()}
+        return {k: ms[k] for k in sorted(ms if pkeys is None else set(pkeys) & set(ms))}
+    if pkeys is None:
+        try:
+            names = os.listdir(os.path.join(lake_dir, "_manifests"))
+        except FileNotFoundError:
+            names = []
+        pkeys = [int(n[5:-5]) for n in names if n.startswith("part=") and n.endswith(".json")]
+    out = {}
+    for k in sorted(pkeys):
+        if (e := _LAKE_STATE.json(manifest_path(lake_dir, k))) is not None and e.value:
+            out[k] = e.value
+    return out
 
 
 def _resolve_lww(group: pa.Table) -> pa.Table:
@@ -1576,34 +1667,47 @@ def lookup_urls(lake_dir: str, urls: list[str]) -> "pa.Table":
     lake). The canonical urls are hashed once: the hash names their
     partitions (``H % P``) and probes each file's Bloom sidecar, so a
     file whose sidecar proves none of the urls present is skipped (a MOR
-    partition is a delta-file stack; most deltas miss most urls).
-    Manifests and lake meta are read on every call; only the immutable
-    sidecars are cached (``_SIDECARS``)."""
+    partition is a delta-file stack; most deltas miss most urls). The
+    Bloom bit positions are computed once per filter shape and tested
+    against every file's bits. Lake meta, overlay, manifests and
+    sidecars come through ``_LAKE_STATE``, parsed once per version of
+    their bytes. Work that a row cannot need is skipped: conforming a
+    file already in the lake schema, LWW over fewer than two rows, the
+    tombstone filter without a tombstone."""
     from gene_etl_ray.pipelines.normalize import canonicalize_url_one
 
-    meta = read_lake_meta(lake_dir)
+    meta, target, overlay = _read_state(lake_dir)
     if meta is None:
         return pa.table({"url": pa.array([], pa.string())})
     canon = [c for c in map(canonicalize_url_one, urls) if c is not None]
     h = hash_urls(canon)
     pkeys = sorted(set(partition_of(h, meta["num_partitions"]).tolist()))
-    files = [f for fs in current_files(lake_dir, pkeys).values() for f in fs]
-    kept = [f for f in files
-            if (bf := _SIDECARS.get(f)) is None or bf.contains_hashes(h).any()]
-    target = _schema_from_hex(meta["schema_hex"])
-    probe = pa.array(canon, pa.string())
-    tabs = [target.empty_table()]
+    files = [f for m in _read_manifests(lake_dir, overlay, pkeys).values() for f in m["files"]]
+    kept, probes = [], {}
+    for f in files:
+        if (bf := _LAKE_STATE.get(f)) is not None:
+            if (probe := probes.get((bf.m, bf.k))) is None:
+                probe = probes[bf.m, bf.k] = bf.probe(h)
+            if not bf.contains_probe(probe).any():
+                continue
+        kept.append(f)
+    wanted = pa.array(canon, pa.string())
+    tabs = []
     for f in kept:
         with pq.ParquetFile(f) as pf:
             t = pf.read(use_threads=False)
-        t = t.filter(pc.is_in(t.column("url"), value_set=probe))
-        tabs.append(conform_table(t, target))
+        t = t.filter(pc.is_in(t.column("url"), value_set=wanted))
+        if t.num_rows:
+            same = t.schema.equals(target, check_metadata=True)
+            tabs.append(t if same else conform_table(t, target))
     logger.debug("lookup_urls: %d files in %d probed partitions, %d kept by Bloom and read",
                  len(files), len(pkeys), len(kept))
-    t = pa.concat_tables(tabs)
-    if meta.get("merge_mode") == "mor" and t.num_rows:
+    t = pa.concat_tables(tabs) if tabs else target.empty_table()
+    if meta.get("merge_mode") == "mor" and t.num_rows > 1:
         t = _resolve_lww(t)
-    t = t.filter(pc.invert(t.column(DELETED_COLUMN)))
+    deleted = t.column(DELETED_COLUMN)
+    if deleted.null_count or any(c.true_count for c in deleted.chunks):
+        t = t.filter(pc.invert(deleted))
     return t.drop_columns([DELETED_COLUMN, PKEY_COLUMN])
 
 
@@ -1726,26 +1830,22 @@ def read_lake(
     10^10 scale); exactness comes from a post-LWW row filter. Under mor,
     only the lower bound prunes files (an out-of-range winner must still
     be read to suppress older in-range versions of its url)."""
-    from gene_etl_ray.state.manifest import read_manifest
-
-    meta = read_lake_meta(lake_dir)
+    meta, schema, overlay = _read_state(lake_dir)
     mor = bool(meta and meta.get("merge_mode") == "mor")
     lo_us, hi_us = _ts_us(ts_min), _ts_us(ts_max)
+    current = _read_manifests(lake_dir, overlay)
     if asof_epoch is None:
-        manifests = [read_manifest(lake_dir, k) for k in sorted(current_files(lake_dir))]
+        manifests = list(current.values())
     else:
-        P = (meta or {}).get("num_partitions", 0) or len(current_files(lake_dir))
-        manifests = list(_snapshot_manifests(lake_dir, asof_epoch, P).values())
+        P = (meta or {}).get("num_partitions", 0) or len(current)
+        manifests = list(_snapshot_manifests(lake_dir, asof_epoch, P, current).values())
     if lo_us is not None or hi_us is not None:
         parts = [_prune_files_by_ts([m], lo_us, hi_us, allow_upper=not mor)[0] for m in manifests]
     else:
         parts = [m["files"] for m in manifests if m]
     parts = [fs for fs in parts if fs] if meta else []
-    schema = (
-        _schema_from_hex(meta["schema_hex"])
-        if meta
-        else pa.schema([("url", pa.string()), (DELETED_COLUMN, pa.bool_())])
-    )
+    if meta is None:
+        schema = pa.schema([("url", pa.string()), (DELETED_COLUMN, pa.bool_())])
     view = [c for c in columns if schema.get_field_index(c) >= 0] if columns else None
     if not parts:
         empty = _lake_view(schema, False, view, live_only)([])
@@ -1764,22 +1864,20 @@ def read_lake(
     return _task_dataset("Lake", [functools.partial(blocks, u) for u in units])
 
 
-def _snapshot_manifests(lake_dir: str, epoch: int, P: int) -> dict[int, dict | None]:
+def _snapshot_manifests(
+    lake_dir: str, epoch: int, P: int, current: dict[int, dict]
+) -> dict[int, dict | None]:
     """Per-partition manifest resolution for a snapshot at ``epoch``:
     the archived manifest with the greatest epoch ≤ ``epoch``; a
     partition untouched since BEFORE retention was enabled falls back to
-    its current manifest (its state cannot have changed after its last
-    commit). FAILS LOUD when a partition demonstrably existed at
+    its ``current`` manifest (its state cannot have changed after its
+    last commit). FAILS LOUD when a partition demonstrably existed at
     ``epoch`` (lineage records a commit ≤ it) but neither source covers
     it — i.e. retention was enabled too late to reconstruct this
     snapshot — instead of silently dropping the partition. One directory
     listing total (archived_epochs_index)."""
     from gene_etl_ray.state.lineage import read_lineage
-    from gene_etl_ray.state.manifest import (
-        archived_epochs_index,
-        read_manifest,
-        read_manifest_asof,
-    )
+    from gene_etl_ray.state.manifest import archived_epochs_index, read_manifest_asof
 
     index = archived_epochs_index(lake_dir)
     first_commit: dict[int, int] = {}
@@ -1791,7 +1889,7 @@ def _snapshot_manifests(lake_dir: str, epoch: int, P: int) -> dict[int, dict | N
     for k in range(P):
         m = read_manifest_asof(lake_dir, k, epoch, index=index)
         if m is None:
-            cur = read_manifest(lake_dir, k)
+            cur = current.get(k)
             if cur is not None:
                 if cur["epoch"] <= epoch:
                     m = cur  # untouched since before retention began
@@ -1830,15 +1928,15 @@ def diff_snapshots(
     read only for touched partitions and emitted only for changed urls;
     numeric payloads are cast to float64 for a stable block schema, and
     so are the seqs (an added or deleted url has one side null)."""
-    meta = read_lake_meta(lake_dir)
+    meta, schema, overlay = _read_state(lake_dir)
     if meta is None:
         raise ValueError(f"no lake at {lake_dir}")
     if from_epoch > to_epoch:
         raise ValueError("from_epoch must be <= to_epoch")
     P = meta["num_partitions"]
-    schema = _schema_from_hex(meta["schema_hex"])
-    snap_a = _snapshot_manifests(lake_dir, from_epoch, P)
-    snap_b = _snapshot_manifests(lake_dir, to_epoch, P)
+    current = _read_manifests(lake_dir, overlay)
+    snap_a = _snapshot_manifests(lake_dir, from_epoch, P, current)
+    snap_b = _snapshot_manifests(lake_dir, to_epoch, P, current)
     # Crossing a repartition boundary, a url's pkey differs between the
     # two snapshots' stored files — compare by its url FAMILY instead
     # (pkey % P_at_from_epoch): growth is by integer factors, so children
@@ -1856,7 +1954,7 @@ def diff_snapshots(
         files_a, files_b = families.setdefault(k % P_fam, ([], []))
         files_a.extend((ma or {}).get("files", []))
         files_b.extend((mb or {}).get("files", []))
-    if not any_manifest and current_files(lake_dir):
+    if not any_manifest and current:
         raise ValueError(
             f"no archived manifests ≤ epoch {to_epoch} — was the lake "
             "written with retain_history=True?"
@@ -2366,7 +2464,6 @@ def repartition_lake(cfg: EngineConfig, factor: int) -> dict:
         atomic_write_json,
         finalize_repartition,
         read_manifest,
-        repart_overlay_path,
     )
 
     if int(factor) != factor or factor < 2:

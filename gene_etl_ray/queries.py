@@ -535,8 +535,7 @@ def events_daily_trending(sf_dir: str) -> pd.DataFrame:
         ["day", "n", "event_type"], ascending=[True, False, True],
         kind="mergesort",
     )
-    out = agg.groupby("day", as_index=False).head(2)
-    out["n"] = out["n"].astype("int64")
+    out = agg.groupby("day", as_index=False).head(2).astype({"n": "int64"})
     return out[["day", "event_type", "n"]].sort_values(
         ["day", "n", "event_type"], ascending=[True, False, True]
     ).reset_index(drop=True)

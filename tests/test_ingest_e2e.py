@@ -4,11 +4,13 @@ and mid-stream schema-add. Each diffs the materialized lake against the
 single-process replay oracle, including per-url extracted text bytes."""
 
 import glob
+import itertools
 import os
 import shutil
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 import ray
@@ -987,7 +989,7 @@ class TestBloomSidecars:
 
         # equality with the unpruned read: force sidecars to miss (in an
         # empty cache: the lookup above cached the decoded sidecars)
-        monkeypatch.setattr(ing, "_SIDECARS", ing._SidecarCache(ing._SIDECAR_CACHE_BYTES))
+        monkeypatch.setattr(ing, "_LAKE_STATE", ing._LakeStateCache(ing._LAKE_STATE_BYTES))
         monkeypatch.setattr(ing, "_load_bloom_sidecar", lambda f: None)
         reads = count_opens(monkeypatch)
         unpruned = ing.lookup_urls(lake, probe).to_pandas()
@@ -1172,6 +1174,178 @@ class TestPointLookups:
         assert errors == []
         held = sum(bf.bits.nbytes for bf in cache._entries.values())
         assert cache._bytes == held <= cache.budget
+
+
+def count_state_opens(monkeypatch, lake: str) -> list[str]:
+    """The lake state files (meta, overlay, manifests) opened from now on,
+    by their path below ``lake``; a failed open of a missing file counts."""
+    import builtins
+
+    opened: list[str] = []
+    real = builtins.open
+
+    def counting(path, *a, **k):
+        if isinstance(path, str) and path.startswith(lake) and path.endswith(".json"):
+            opened.append(os.path.relpath(path, lake))
+        return real(path, *a, **k)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    return opened
+
+
+class TestLakeStateReads:
+    """Readers take the lake meta, the repartition overlay and the
+    manifests through one process-wide cache that reuses a parse only
+    while the file's bytes are unchanged: a reader racing the writer sees
+    each partition as of a commit, and a scan reads each file once."""
+
+    @pytest.mark.parametrize("mode", ["mor", "cow"])
+    def test_readers_racing_commits_see_committed_states(self, tmp_path, mode):
+        """A reader thread runs single-url lookups and scans while the
+        main thread commits 4 groups. Each lookup returns the oracle's
+        row at a group boundary it overlapped: the state before or after
+        its partition's commit. Copy-on-write keeps superseded files for
+        a grace period, as a lake serving readers must."""
+        import threading
+
+        import gene_etl_ray.pipelines.ingest as ing
+
+        full = str(tmp_path / "all_events")
+        ev = str(tmp_path / "events")
+        lake = str(tmp_path / "lake")
+        generate_events(full, n_urls=60, n_events=400, n_epochs=4, seed=47,
+                        delete_frac=0.15)
+        segs = sorted(glob.glob(os.path.join(full, "epoch=*.parquet")))
+        cols = ["warc_ts", "seq", "text"]
+        golds: list[dict] = [{}]  # url -> live row after each group
+        for j in range(1, len(segs) + 1):
+            prefix = str(tmp_path / f"prefix{j}")
+            os.makedirs(prefix)
+            for f in segs[:j]:
+                shutil.copy(f, prefix)
+            gold = replay_oracle(prefix).set_index("url")
+            golds.append({u: list(gold.loc[u, cols]) for u in gold.index})
+        urls = sorted(set().union(*golds))
+        os.makedirs(ev)
+        cfg = EngineConfig(lake_dir=lake, num_partitions=4, epochs_per_commit=1,
+                           merge_mode=mode, gc_grace_seconds=3600 if mode == "cow" else 0)
+        progress = {"started": 0, "done": 0}
+        stop = threading.Event()
+        seen: list = []
+        errors: list = []
+        scans = [0]
+
+        def reader() -> None:
+            try:
+                for i in itertools.count():
+                    if stop.is_set():
+                        return
+                    u = urls[i % len(urls)]
+                    lo = progress["done"]
+                    got = ing.lookup_urls(lake, [u]).to_pandas()
+                    if i % 16 == 0:
+                        ing.read_lake(lake).count()
+                        scans[0] += 1
+                    hi = progress["started"]
+                    rows = [list(r) for r in got[cols].itertuples(index=False)] if len(got) else []
+                    seen.append((u, lo, hi, rows))
+            except Exception as e:  # reported by the assert below
+                errors.append(e)
+
+        th = threading.Thread(target=reader, daemon=True)
+        th.start()
+        try:
+            for seg in segs:
+                progress["started"] += 1
+                shutil.copy(seg, ev)
+                run_ingest(cfg, ev)
+                progress["done"] += 1
+        finally:
+            stop.set()
+            th.join(timeout=300)
+        assert not th.is_alive()
+        assert errors == []
+        assert scans[0] >= 1 and any(lo < hi for _, lo, hi, _ in seen)
+        for u, lo, hi, rows in seen:
+            allowed = [[golds[j][u]] if u in golds[j] else [] for j in range(lo, hi + 1)]
+            assert rows in allowed, (u, lo, hi, rows)
+        assert_lookups_match_oracle(lake, full, urls)
+
+    def test_manifest_rewritten_in_place_is_reread(self, tmp_path):
+        """A manifest overwritten in place with bytes of the same length,
+        inode and mtime is still re-read: the cache compares bytes."""
+        import gene_etl_ray.pipelines.ingest as ing
+        from gene_etl_ray.hashing import partition_keys
+        from gene_etl_ray.state.manifest import manifest_path
+
+        ev, lake = TestPointLookups._mor_lake(tmp_path)
+        lake_df(lake)  # caches every manifest
+        newest = current_files(lake, [0])[0][-1]
+        t = pq.read_table(newest)
+        live = t.filter(pc.invert(t.column(ing.DELETED_COLUMN)))
+        u = live.column("url")[0].as_py()
+        assert partition_keys([u], 2)[0] == 0
+        before = ing.lookup_urls(lake, [u]).to_pandas()
+        assert list(before["text"]) != ["rewritten"]
+
+        # the same rows with u's text changed, at a path of the same length
+        i = t.column("url").to_pylist().index(u)
+        text = t.column("text").to_pylist()
+        text[i] = "rewritten"
+        d, base = os.path.split(newest)
+        alt = os.path.join(d, "x" + base[1:])
+        pq.write_table(t.set_column(t.schema.get_field_index("text"), "text",
+                                    pa.array(text, t.schema.field("text").type)), alt)
+        mpath = manifest_path(lake, 0)
+        st = os.stat(mpath)
+        with open(mpath, "rb") as f:
+            raw = f.read()
+        new = raw.replace(base.encode(), os.path.basename(alt).encode())
+        assert new != raw and len(new) == len(raw)
+        with open(mpath, "r+b") as f:
+            f.write(new)
+        os.utime(mpath, ns=(st.st_atime_ns, st.st_mtime_ns))
+        after = os.stat(mpath)
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+            st.st_ino, st.st_size, st.st_mtime_ns)
+
+        assert list(ing.lookup_urls(lake, [u]).to_pandas()["text"]) == ["rewritten"]
+        assert lake_df(lake).set_index("url").loc[u, "text"] == "rewritten"
+
+    def test_scan_opens_each_state_file_once(self, tmp_path, monkeypatch):
+        """``read_lake`` lists and reads the manifests in one pass: each
+        state file is opened once per call, and under a repartition
+        overlay only the overlay is."""
+        import gene_etl_ray.pipelines.ingest as ing
+        import gene_etl_ray.state.manifest as mstate
+
+        ev = str(tmp_path / "events")
+        lake = str(tmp_path / "lake")
+        generate_events(ev, n_urls=120, n_events=500, n_epochs=2, seed=31)
+        cfg = EngineConfig(lake_dir=lake, num_partitions=4)
+        run_ingest(cfg, ev)
+        want = lake_df(lake)
+        state = ["_manifests/REPART.json", "_meta/lake.json"] + [
+            f"_manifests/part={k:05d}.json" for k in range(4)]
+        monkeypatch.setattr(ing, "_LAKE_STATE", ing._LakeStateCache(ing._LAKE_STATE_BYTES))
+        for cache in ("cold", "warm"):
+            with monkeypatch.context() as mp:
+                opened = count_state_opens(mp, lake)
+                ds = read_lake(lake)
+            assert sorted(opened) == sorted(state), cache
+            pd.testing.assert_frame_equal(
+                ds.to_pandas().sort_values("url").reset_index(drop=True), want)
+
+        real = mstate.finalize_repartition
+        monkeypatch.setattr(mstate, "finalize_repartition", lambda d: False)
+        ing.repartition_lake(cfg, 2)
+        monkeypatch.setattr(mstate, "finalize_repartition", real)
+        with monkeypatch.context() as mp:
+            opened = count_state_opens(mp, lake)
+            ds = read_lake(lake)
+        assert opened == ["_manifests/REPART.json"]
+        pd.testing.assert_frame_equal(
+            ds.to_pandas().sort_values("url").reset_index(drop=True), want)
 
 
 class TestWriteAuditPublish:

@@ -318,9 +318,9 @@ class TestText:
           int64 key's type, not the string type of other object columns;
         - a float64 key of the same name holding 5.5: one coalesced key
           column, as DuckDB's ``USING (k)``, of the promoted type float64
-          (DuckDB keeps the left key's type for inner and left joins),
-          and a right join puts it after the left payload (Acero's
-          layout; DuckDB puts it first)."""
+          (DuckDB keeps the left key's type for inner and left joins;
+          ``test_partitioned_join_using_key_layout`` pins the column
+          order)."""
         import duckdb
         import pyarrow as pa
         import ray
@@ -359,6 +359,35 @@ class TestText:
             assert got.schema.names == want.schema.names, cond
             assert got.schema.types == want.schema.types, cond
             assert sorted(got.to_pylist(), key=str) == sorted(want.to_pylist(), key=str), cond
+
+    @pytest.mark.parametrize("how", ["inner", "left", "right", "outer"])
+    def test_partitioned_join_using_key_layout(self, how):
+        """A key of one name and type on both sides gives DuckDB's
+        ``JOIN … USING (k)`` columns in DuckDB's order: the left side's
+        columns with the one key at its place, then the right payload.
+        A right join once put the key after the left payload."""
+        import duckdb
+        import pyarrow as pa
+        import ray
+
+        from gene_etl_ray.ops.relational import partitioned_join
+
+        lt = pa.table({"v": pa.array([1, 2, 3], pa.int64()),
+                       "k": pa.array([5, 7, None], pa.int64()),
+                       "u": pa.array(["a", "b", "c"])})
+        rt = pa.table({"w": pa.array([10, 20, 30], pa.int64()),
+                       "k": pa.array([5, 9, None], pa.int64())})
+        out = partitioned_join(rd.from_arrow(lt), rd.from_arrow(rt), "k", "k",
+                               how=how, num_buckets=8)
+        got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+        con = duckdb.connect()
+        con.register("lt", lt)
+        con.register("rt", rt)
+        sql = {"inner": "INNER", "left": "LEFT", "right": "RIGHT", "outer": "FULL OUTER"}[how]
+        want = con.sql(f"SELECT * FROM lt {sql} JOIN rt USING (k)").arrow()
+        assert got.schema.names == want.schema.names == ["v", "k", "u", "w"]
+        assert got.schema.types == want.schema.types
+        assert sorted(got.to_pylist(), key=str) == sorted(want.to_pylist(), key=str)
 
     def test_pmi_collocations_hand_counts(self):
         """Toy corpus where PMI is hand-derivable: 'new york' occurs 6x

@@ -2,6 +2,8 @@
 correctness gate (row count + order-insensitive value comparison with
 columns sorted by name)."""
 
+import warnings
+
 import duckdb
 import numpy as np
 import pandas as pd
@@ -63,6 +65,17 @@ def test_rows_only_queries_run(name):
         assert len(df) > 0 and "text" in df.columns
     if name == "knn_lsh_topk":
         assert set(df.columns) == {"query_id", "vec_id", "cosine"}
+
+
+def test_daily_trending_warns_nothing(con):
+    """``events_daily_trending`` keeps each day's top two rows of the
+    aggregate; it once assigned into that slice and raised pandas'
+    ``SettingWithCopyWarning`` on every call."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", pd.errors.SettingWithCopyWarning)
+        got = normalize(to_df(Q.events_daily_trending(SF)))
+    want = normalize(con.execute(Q.ORACLE_SQL["events_daily_trending"]).fetchdf())
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
 def test_cdc_flagship_matches_duckdb_oracle():

@@ -557,3 +557,20 @@ class TestLateMergeExtraction:
             "http://a/": (new_html, extract_text(new_html)),
             "http://b/": (b"<p>kept</p>", "kept"),
         }
+
+
+class TestBenchmarkTooling:
+    def test_span_targets_resolve(self):
+        """The benchmark's tracer wraps engine functions by name
+        (``perfbench/spans.py`` ``TARGETS``). Each must stay bound, even
+        one the engine's readers no longer call, or a traced run breaks
+        where an untraced one passes. The module is compiled from its
+        source, so no bytecode is written beside it."""
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spans = {"__name__": "perfbench_spans", "__file__": str(path)}
+        exec(compile(path.read_text(), str(path), "exec"), spans)
+        missing = [name for owner, attr, name in spans["TARGETS"]
+                   if not callable(getattr(owner, attr, None))]
+        assert len(spans["TARGETS"]) > 10 and missing == []
