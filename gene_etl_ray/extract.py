@@ -4,8 +4,8 @@ Reference analog: the stateful per-worker compute stage
 (``correlate.py:25-33`` holds config once, heavy vectorized work per call;
 ``io.py:31-50`` holds connections once per worker). Here the per-worker
 state is the compiled rule tables of a trafilatura-style extractor, built
-once in the actor's ``__init__`` and applied per Arrow batch in
-``__call__`` — the map_batches actor-pool pattern mandated by north_rule.
+once per worker process (``ingest.per_process_extractor``) and applied to
+each merge group's LWW winners inside the merge task.
 
 Determinism contract (`input_hint`: "byte-identical extracted text per
 url"): the extractor is a pure function of the html bytes — fixed regex
@@ -40,33 +40,24 @@ _WS_LINE = re.compile(r"[ \t\r\f\v]+")
 _WS_NL = re.compile(r"\s*\n\s*")
 
 
-#: The ONLY construct on which the RE2 whitespace tail can diverge from
-#: Python's: ``\s*\n\s*`` absorbs non-ASCII whitespace (U+00A0 from
-#: &nbsp;, U+2028, \x1c–\x1f, …) that RE2's ASCII ``\s`` leaves alone —
-#: and only when such a char sits in the same whitespace run as a
-#: newline. ``[^\S \t\n\r\f\v]`` is exactly "Python-\s minus the ASCII
-#: set"; connection through the run is via ``\s*`` on either side.
-_UNI_WS_NEAR_NL = re.compile(r"[^\S \t\n\r\f\v]\s*\n|\n\s*[^\S \t\n\r\f\v]")
+#: Python's str ``\s`` spelled out for RE2, whose ``\s`` is ASCII-only:
+#: exactly the 29 code points of ``str.isspace`` (pinned against it over
+#: every code point in tests/test_units.py).
+_RE2_WS = (r"[\t-\r\x{1c}-\x{20}\x{85}\x{a0}\x{1680}\x{2000}-\x{200a}"
+           r"\x{2028}\x{2029}\x{202f}\x{205f}\x{3000}]")
 
 
 class HtmlTextExtractor:
-    """Actor-pool callable: fills ``text`` from ``html`` where text is null.
+    """Batch callable: fills ``text`` from ``html`` where text is null.
 
-    Use as ``ds.map_batches(HtmlTextExtractor, concurrency=N,
-    batch_size=B, batch_format="pyarrow")``. Rule tables are compiled once
-    per actor (``__init__``), applied per batch (``__call__``).
+    Built once per worker process and called on each merge group's
+    winners (``ingest.per_process_extractor``). Rule tables are compiled
+    once (``__init__``) and applied per batch (``__call__``).
 
-    Two implementations of the SAME frozen algorithm:
-
-    - ``extract_one``: the reference per-document Python-``re`` chain
-      (used by the single-process oracle and as the exactness fallback);
-    - ``_extract_many``: the batch path (measured 1.5–1.6× on
-      crawl-sized pages) — identical Python-``re`` rule passes, but the
-      whitespace collapse (two thirds of per-doc cost) runs column-wide
-      in RE2 with a skip-identity pattern; the one input shape where
-      RE2's ASCII ``\\s`` could diverge routes to the exact Python tail.
-      Byte-identity pinned by corpus + adversarial tests
-      (tests/test_units.py).
+    ``extract_one`` is the frozen per-document Python-``re`` reference
+    that the single-process oracle runs; ``_extract_many`` is the batch
+    path that the engine runs. Byte-identity between them is pinned by
+    corpus, adversarial and code-point tests (tests/test_units.py).
     """
 
     def __init__(self) -> None:
@@ -75,78 +66,51 @@ class HtmlTextExtractor:
     def extract_one(self, raw: bytes | None) -> str | None:
         if raw is None:
             return None
-        return self._finish_py(raw.decode("utf-8", errors="replace"))
-
-    def _finish_py(self, text: str) -> str:
+        text = raw.decode("utf-8", errors="replace")
         for rx, repl in self._rules:
             text = rx.sub(repl, text)
         text = _htmlmod.unescape(text)
-        return self._ws_py(text)
-
-    @staticmethod
-    def _ws_py(text: str) -> str:
         text = _WS_LINE.sub(" ", text)
         text = _WS_NL.sub("\n", text)
         return text.strip(" \n")
 
-    def _extract_many(self, raws: list) -> list:
+    def _extract_many(self, raws: list) -> pa.Array:
         """Batch extraction, byte-identical to ``extract_one`` per doc.
 
-        Hybrid by measurement: the tag-rule chain + entity unescape run
-        per doc with the REFERENCE Python-``re`` kernels (Python's
-        literal-prefix optimization beats RE2 on these ``<``-anchored
-        patterns, and unescape has no Arrow kernel anyway), while the
-        whitespace collapse — two thirds of the per-doc cost, dominated
-        by millions of identity single-space matches — runs column-wide
-        in RE2 with a skip-identity pattern. Only documents where RE2's
-        ASCII ``\\s`` could diverge (unicode whitespace in the same run
-        as a newline — see ``_UNI_WS_NEAR_NL``) take the exact Python
-        tail, so byte-identity is by construction."""
-        out: list = [None] * len(raws)
-        idx, vals = [], []
-        for i, r in enumerate(raws):
-            if r is None:
+        The tag-rule chain and entity unescape run per doc with the
+        reference Python-``re`` kernels (Python's literal-prefix
+        optimization beats RE2 on these ``<``-anchored patterns, and
+        unescape has no Arrow kernel), while the whitespace collapse runs
+        column-wide in RE2. ``_RE2_WS`` makes its ``\\s*\\n\\s*`` match
+        exactly what Python's does, so every doc takes the same path."""
+        docs = []
+        for raw in raws:
+            if raw is None:
+                docs.append(None)
                 continue
-            x = r.decode("utf-8", errors="replace")
+            text = raw.decode("utf-8", errors="replace")
             for rx, repl in self._rules:
-                x = rx.sub(repl, x)
-            x = _htmlmod.unescape(x)
-            if not x.isascii() and _UNI_WS_NEAR_NL.search(x):
-                out[i] = self._ws_py(x)  # exact tail for the divergent case
-            else:
-                idx.append(i)
-                vals.append(x)
-        if vals:
-            k = pa.array(vals, pa.string())
-            # skip-identity variant of [ \t\r\f\v]+ → " ": single spaces
-            # (the overwhelming majority of matches) map to themselves,
-            # so exclude them from the match set entirely — output-equal,
-            # ~6× fewer engine matches
-            k = pc.replace_substring_regex(k, r"[ \t\r\f\v]{2,}|[\t\r\f\v]", " ")
-            k = pc.replace_substring_regex(k, r"\s*\n\s*", "\n")
-            k = pc.utf8_trim(k, " \n")
-            for i, v in zip(idx, k.to_pylist()):
-                out[i] = v
-        return out
+                text = rx.sub(repl, text)
+            docs.append(_htmlmod.unescape(text))
+        k = pa.array(docs, pa.string())
+        # skip-identity variant of [ \t\r\f\v]+ → " ": single spaces
+        # (the overwhelming majority of matches) map to themselves, so
+        # exclude them from the match set entirely — output-equal, ~6×
+        # fewer engine matches
+        k = pc.replace_substring_regex(k, r"[ \t\r\f\v]{2,}|[\t\r\f\v]", " ")
+        k = pc.replace_substring_regex(k, f"{_RE2_WS}*\n{_RE2_WS}*", "\n")
+        return pc.utf8_trim(k, " \n")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        text = batch.column("text")
-        html_col = batch.column("html")
-        need = pc.and_(pc.is_null(text), pc.is_valid(html_col))
-        if pc.sum(need).as_py() == 0:
+        text = batch.column("text").combine_chunks()
+        html = batch.column("html")
+        need = pc.and_(pc.is_null(text), pc.is_valid(html)).combine_chunks()
+        if not pc.any(need).as_py():
             return batch
-        need_np = need.to_numpy(zero_copy_only=False)
-        html_py = html_col.to_pylist()
-        text_py = text.to_pylist()
-        extracted = self._extract_many(
-            [html_py[i] if need_np[i] else None for i in range(len(text_py))]
-        )
-        out = [
-            extracted[i] if need_np[i] else text_py[i]
-            for i in range(len(text_py))
-        ]
-        idx = batch.schema.get_field_index("text")
-        return batch.set_column(idx, "text", pa.array(out, type=batch.schema.field(idx).type))
+        new = self._extract_many(pc.filter(html, need).to_pylist())
+        i = batch.schema.get_field_index("text")
+        filled = pc.replace_with_mask(text, need, new.cast(text.type))
+        return batch.set_column(i, batch.schema.field(i), filled)
 
 
 def extract_text(raw: bytes | None) -> str | None:

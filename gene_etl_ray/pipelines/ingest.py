@@ -110,8 +110,9 @@ logger = logging.getLogger(__name__)
 def per_process_extractor():
     """Extraction callable whose extractor is built once per worker
     process, for the merge's winners-only extraction
-    (``_make_merge_fn``). The extractor state is six compiled regexes, so
-    it needs no actor pool: the merge runs on the shared worker pool."""
+    (``_make_merge_fn``) and the ``reextract`` backfill. The extractor
+    state is six compiled regexes, so it needs no actor pool: the merge
+    runs on the shared worker pool."""
     from gene_etl_ray.ops.util import per_process
 
     return per_process(HtmlTextExtractor)
@@ -1242,14 +1243,17 @@ def _merge_exchange(
     partitions whose groups can fall in bucket r, hot or cold. Returns
     the merge tasks' output blocks — manifest rows, with the summed
     partials on their schema metadata — and the per-operator wall times
-    of both executions."""
-    staged = staged.materialize()
-    # one object holds the block refs, so each merge task ships one ref,
-    # not all of them
-    refs = ray.put([ref for bundle in staged.iter_internal_ref_bundles() for ref in bundle.block_refs])
+    of both executions.
+
+    The merge Dataset is built on a driver thread while the staged
+    execution runs: building a Dataset waits on a round trip to Ray's
+    stats actor for its id (about 2 ms a group on one vCPU), which the
+    execution hides. Its tasks read ``refs`` when the merge execution
+    serializes them, after the staged blocks are sealed."""
+    refs: list = []
 
     def merge_bucket(r: int, files: dict[int, list[str]]) -> pa.Table:
-        blocks = ray.get(ray.get(refs))
+        blocks = ray.get(ray.get(refs[0]))
         counts, val, hot = _partition_counts(blocks, hot_threshold)
         out = []
         groups = _bucket_groups(blocks, r, S, R, hot)
@@ -1265,7 +1269,8 @@ def _merge_exchange(
         rows = pa.concat_tables([MANIFEST_ROW_SCHEMA.empty_table(), *out]).combine_chunks()
         return _with_partials(rows, {"group": {"counts": counts, **val}})
 
-    merged = _task_dataset(
+    building = _commit_pool().submit(
+        _task_dataset,
         "MergeBuckets",
         [
             # (pkey + salt) % R == r for some salt < S (``_bucket_of``)
@@ -1274,7 +1279,12 @@ def _merge_exchange(
             )
             for r in range(R)
         ],
-    ).materialize()
+    )
+    staged = staged.materialize()
+    # one object holds the block refs, so each merge task ships one ref,
+    # not all of them
+    refs.append(ray.put([ref for bundle in staged.iter_internal_ref_bundles() for ref in bundle.block_refs]))
+    merged = building.result().materialize()
     blocks = [ref for bundle in merged.iter_internal_ref_bundles() for ref in bundle.block_refs]
     return ray.get(blocks), _op_secs(staged, merged)
 
@@ -2355,30 +2365,22 @@ def transform_lake(
         release(lake_dir)
 
 
-_REEXTRACTOR = None
-
-
 def _transform_reextract(t: pa.Table) -> pa.Table:
     """Named backfill: re-run the frozen html→text extractor over every
     stored row that still carries its html payload (``keep_html``
     lakes) — the canonical backfill after an extractor upgrade. Rows
     without html (payload dropped, or tombstones) keep their text."""
-    global _REEXTRACTOR
     if t.schema.get_field_index("html") < 0:
         raise ValueError(
             "transform reextract requires a keep_html lake (html stored)"
         )
-    if _REEXTRACTOR is None:
-        from gene_etl_ray.extract import HtmlTextExtractor
-
-        _REEXTRACTOR = HtmlTextExtractor()
-    html = t.column("html").to_pylist()
-    old = t.column("text").to_pylist()
-    new = _REEXTRACTOR._extract_many(html)
-    merged = [n if h is not None else o
-              for n, o, h in zip(new, old, html)]
+    html = t.column("html")
+    text = t.column("text")
+    # null the text of every row with html, so the extractor fills it
+    blank = pc.if_else(pc.is_valid(html), pa.scalar(None, text.type), text)
+    filled = per_process_extractor()(pa.table({"text": blank, "html": html}))
     i = t.schema.get_field_index("text")
-    return t.set_column(i, "text", pa.array(merged, t.schema.field(i).type))
+    return t.set_column(i, t.schema.field(i), filled.column("text"))
 
 
 def _transform_textlen(t: pa.Table) -> pa.Table:

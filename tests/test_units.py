@@ -65,8 +65,24 @@ class TestExtractor:
             cases.append(
                 "".join(rng.choice(frags) for _ in range(rng.randint(0, 25))).encode()
             )
+        # every character Python's \s matches, raw and as numeric entities,
+        # next to the newlines the whitespace collapse is built around
+        uni_ws = [c for c in map(chr, range(0x3001)) if c.isspace()]
+        assert len(uni_ws) == 29
+        entities = ["&#x2028;", "&#133;", "&#12288;", "&#28;"]
+        for w in uni_ws + entities:
+            for shape in ("a{w}\nb", "a\n{w}b", "a{w}<br>b", "a<br>{w}b",
+                          "{w}\n{w}", "x {w}{w}\n\t{w} y", "<p>{w}</p>{w}<br>{w}",
+                          "{w}", "a{w}b", "\n{w}\n{w}\n"):
+                cases.append(shape.format(w=w).encode())
+        frags2 = frags + uni_ws + entities
+        rng = random.Random(11)
+        for _ in range(300):
+            cases.append(
+                "".join(rng.choice(frags2) for _ in range(rng.randint(0, 25))).encode()
+            )
         ex = HtmlTextExtractor()
-        got = ex._extract_many(cases)
+        got = ex._extract_many(cases).to_pylist()
         want = [ex.extract_one(c) for c in cases]
         for c, g, w in zip(cases, got, want):
             assert g == w, (c[:80], g[:80], w[:80])
@@ -81,6 +97,61 @@ class TestExtractor:
         )
         out = ex(t)
         assert out.column("text").to_pylist() == ["keep", "b", None]
+
+    def test_batch_keeps_set_text_beside_html(self):
+        """A row whose text is already set keeps it even when its html is
+        present: only null text is extracted. The batch arrives in two
+        chunks, as a concatenated merge group does."""
+        ex = HtmlTextExtractor()
+        html = pa.chunked_array([
+            pa.array([b"<p>x</p>", b"<p>y</p>"], pa.binary()),
+            pa.array([None, b"<p>z</p>", b"<p>w</p>"], pa.binary()),
+        ])
+        text = pa.chunked_array([
+            pa.array(["stale x", None], pa.string()),
+            pa.array(["lake", "set", None], pa.string()),
+        ])
+        out = ex(pa.table({"html": html, "text": text}))
+        assert out.column("text").to_pylist() == ["stale x", "y", "lake", "set", "w"]
+        assert out.schema == pa.schema([("html", pa.binary()), ("text", pa.string())])
+
+    def test_batch_path_byte_identical_on_wal_pages(self, tmp_path):
+        """The batch path matches the per-doc reference on the pages of a
+        seeded change log, which are crawl-sized and non-ASCII (``&copy;``)."""
+        import pyarrow.parquet as pq
+
+        from gene_etl_ray.fixtures import generate_events
+
+        meta = generate_events(str(tmp_path), n_urls=150, n_events=400,
+                               n_epochs=2, seed=777, html_size_hint=1500)
+        pages = [h for f in meta["files"]
+                 for h in pq.read_table(f, columns=["html"]).column("html").to_pylist()]
+        assert sum(h is not None for h in pages) > 300
+        ex = HtmlTextExtractor()
+        got = ex._extract_many(pages).to_pylist()
+        assert got == [ex.extract_one(h) for h in pages]
+
+    def test_re2_whitespace_class_is_python_whitespace(self):
+        """The RE2 class the batch path collapses newline runs with must
+        match exactly the code points of ``str.isspace``, which is also
+        Python ``re``'s ``\\s`` on str, over every non-surrogate code
+        point. A Python or pyarrow upgrade that moves either side fails
+        here."""
+        import re
+        import sys
+
+        import pyarrow.compute as pc
+
+        from gene_etl_ray.extract import _RE2_WS
+
+        cps = [c for c in range(sys.maxunicode + 1) if not 0xD800 <= c <= 0xDFFF]
+        chars = [chr(c) for c in cps]
+        re2 = pc.match_substring_regex(pa.array(chars, pa.string()), f"^{_RE2_WS}$")
+        got = {c for c, m in zip(cps, re2.to_numpy(zero_copy_only=False)) if m}
+        want = {c for c, ch in zip(cps, chars) if ch.isspace()}
+        assert len(want) == 29
+        assert got == want
+        assert {ord(m) for m in re.findall(r"\s", "".join(chars))} == want
 
 
 class TestHashing:
