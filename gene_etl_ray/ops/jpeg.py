@@ -16,11 +16,13 @@ scan, any sampling factors in {1, 2} — 4:4:4 / 4:2:2 / 4:2:0), optional
 restart intervals on decode. The color encoder emits the standard web
 shape: 4:2:0 subsampled YCbCr (BT.601 full-range JFIF matrix), Annex
 K.1 luma + K.2 chroma quantization, K.3 luma + chroma Huffman tables.
-Progressive (SOF2), arithmetic coding and non-interleaved
-multi-component scans raise NotImplementedError at the exact call site
-a libjpeg decoder slots into. Only the ENCODER here ever produces
-fixture bytes, but the decoder parses the real marker structure so any
-conforming baseline sequential JPEG decodes.
+Progressive (SOF2), arithmetic coding, non-interleaved multi-component
+scans and 3-component images whose component ids are not JFIF's 1, 2, 3
+(Y, Cb, Cr; e.g. Adobe RGB-tagged files) raise NotImplementedError at
+the exact call site a libjpeg decoder slots into. Only the ENCODER here
+ever produces fixture bytes, but the decoder parses the real marker
+structure, so a baseline sequential JFIF JPEG in that scope decodes
+whatever order its SOF and scan list the components in.
 
 Reference parity note: the reference engine has no media path at all
 (brief-driven component); the codec cites only the public standard.
@@ -473,6 +475,11 @@ def jpeg_decode(data: bytes) -> np.ndarray:
                     raise NotImplementedError(
                         "sampling factors beyond 2 not supported")
                 comps.append((cid, hf, vf, payload[8 + 3 * i]))
+            if ncomp == 3 and sorted(c[0] for c in comps) != [1, 2, 3]:
+                raise NotImplementedError(
+                    "3-component JPEG with component ids other than JFIF's "
+                    "1, 2, 3 (Y, Cb, Cr); plug libjpeg/PIL here"
+                )
         elif marker in (0xC2, 0xC3, 0xC5, 0xC6, 0xC7, 0xC9, 0xCA, 0xCB,
                         0xCD, 0xCE, 0xCF):
             raise NotImplementedError(
@@ -632,7 +639,7 @@ def _decode_scan_interleaved(
                             by * 8 : by * 8 + 8, bx * 8 : bx * 8 + 8
                         ] = _idct_block(zq, q)
             nmcu += 1
-    full = []
+    full = {}
     for pi, ((cid, hf, vf, tq), _, _) in enumerate(scan_tables):
         p = planes[pi]
         # replicate up to full resolution, then crop to (h, w)
@@ -640,11 +647,12 @@ def _decode_scan_interleaved(
             p = np.repeat(p, vmax // vf, axis=0)
         if hf < hmax:
             p = np.repeat(p, hmax // hf, axis=1)
-        full.append(p[:h, :w])
-    ycc = np.stack(full, axis=-1)  # SOF order assumed Y, Cb, Cr
-    y = ycc[..., 0] + 128.0
-    cb = ycc[..., 1]
-    cr = ycc[..., 2]
+        full[cid] = p[:h, :w]
+    # JFIF component ids (checked at the SOF): 1 Y, 2 Cb, 3 Cr, in
+    # whatever order the scan lists them
+    y = full[1] + 128.0
+    cb = full[2]
+    cr = full[3]
     rgb = np.stack(
         [
             y + 1.402 * cr,

@@ -18,7 +18,9 @@ The merge exchange (``_merge_exchange``) is built from stateless tasks on
 the shared worker pool, on the model of Exoshuffle: no actor and no sort
 of the group. Each read task leaves its block in the object store ordered by
 gkey; merge task r then takes bucket r's zero-copy runs of every block
-and merges them one group at a time. Sinks: copy-on-write
+and merges them one group at a time. A group under
+``READ_UNIT_MIN_BYTES`` decoded skips it: one task stages and merges the
+whole group, one Dataset execution in all. Sinks: copy-on-write
 (rewrite touched partitions) or merge-on-read (append LWW-deduped
 deltas + read-side resolution + ``compact``). Torn/corrupt WAL segments
 are quarantined with later epochs held back; a single-writer lock
@@ -432,7 +434,7 @@ def truncate_wal(
     return {"truncated_through": bound, "removed": removed, "kept": kept}
 
 
-def _epoch_record_info(lake_dir: str, commit_epoch: int, cfg: EngineConfig) -> dict:
+def _epoch_record_info(lake_dir: str, commit_epoch: int, config_hash: str) -> dict:
     """Global-epoch record payload: the commit group's total applied
     events across ALL attempts, derived from per-partition lineage
     (deduped per pkey — a crash between commit and checkpoint can
@@ -454,7 +456,7 @@ def _epoch_record_info(lake_dir: str, commit_epoch: int, cfg: EngineConfig) -> d
     info = {
         "partitions": sorted(last_by_pkey),
         "events": sum(last_by_pkey.values()),
-        "config_hash": cfg.hash(),
+        "config_hash": config_hash,
     }
     # event-time watermark contribution: max warc_ts this group committed
     # (drives lateness admission for LATER groups; absent on pre-0.4
@@ -485,13 +487,31 @@ def _schema_from_hex(h: str) -> pa.Schema:
 
 def _clean_stale_tmp(lake_dir: str) -> None:
     """Temp files from a crashed run are invisible to readers (never
-    manifested); remove them so they don't accumulate."""
-    # data files and their .bloom sidecars
-    for p in glob.glob(os.path.join(lake_dir, "part=*", ".tmp-*.parquet*")):
-        try:
-            os.remove(p)
-        except OSError:
-            pass
+    manifested); remove them so they don't accumulate: data files and
+    their .bloom sidecars. Runs before every ingest, so it lists the
+    partition directories without ``glob``'s per-name pattern match."""
+    for d in os.scandir(lake_dir):
+        if not (d.name.startswith("part=") and d.is_dir()):
+            continue
+        for f in os.scandir(d.path):
+            if f.name.startswith(".tmp-") and ".parquet" in f.name:
+                try:
+                    os.remove(f.path)
+                except OSError:
+                    pass
+
+
+def _phase0(lake_dir: str, meta: dict, clean_tmp: bool) -> None:
+    """Phase 0 of a commit group, done before its tasks run: the lake
+    meta, durable; with ``clean_tmp`` (a run's first group) also a
+    crashed run's temp files removed, listed on a commit-pool thread
+    while the meta write waits in fsync."""
+    cleaning = _commit_pool().submit(_clean_stale_tmp, lake_dir) if clean_tmp else None
+    try:
+        write_lake_meta(lake_dir, meta)
+    finally:
+        if cleaning is not None:
+            cleaning.result()
 
 
 #: schema-metadata key of a staged block's partials: JSON of read unit id
@@ -539,38 +559,47 @@ def _partition_counts(
 #: ingest, stored partition files in ``read_lake``
 READ_UNIT_BYTES = 128 << 20
 
+#: decoded WAL bytes per ingest read unit below which a group is not
+#: split further, and below which a whole group runs as one task: a
+#: read-plus-merge task does about 15 ms of work per decoded MB on one
+#: vCPU, so at this floor a task's work is at least 10x the ~35 ms Ray
+#: Data spends dispatching it
+READ_UNIT_MIN_BYTES = 32 << 20
+
 
 def _pack(items: list, sizes: list[int], min_units: int) -> list[list]:
-    """Contiguous runs of ``items`` (one task each) of at most
-    ``READ_UNIT_BYTES`` by ``sizes``, smaller when that yields fewer than
-    ``min_units`` runs; never an empty run."""
+    """Contiguous runs of ``items`` (one task each) of about equal bytes by
+    ``sizes``: ``min_units`` runs, each item in the run its midpoint falls
+    in, or more where a run would pass ``READ_UNIT_BYTES`` (unless it is
+    one item); never an empty run."""
     cap = min(READ_UNIT_BYTES, sum(sizes) / max(1, min_units))
     units: list[list] = []
-    run, acc = [], 0
+    run, acc, done = [], 0, 0
     for item, b in zip(items, sizes):
-        if run and acc + b > cap:
+        if run and (acc + b > READ_UNIT_BYTES or done + acc + b / 2 > (len(units) + 1) * cap):
             units.append(run)
-            run, acc = [], 0
+            run, acc, done = [], 0, done + acc
         run.append(item)
         acc += b
     return units + [run]
 
 
 def _read_units(
-    files: list[str], footers: list[pq.FileMetaData], min_units: int
-) -> list[list[tuple[str, int]]]:
+    files: list[str], footers: list[pq.FileMetaData], cpus: int
+) -> tuple[list[list[tuple[str, int]]], int]:
     """Plan a commit group's read tasks from the footers in hand (no
     ``read_parquet``, which opens and samples the files again on the
     driver): contiguous runs of ``(file, row group)`` of at most
     ``READ_UNIT_BYTES`` decoded, smaller when that yields fewer than
-    ``min_units`` tasks; never less than one row group. The exchange
-    costs a slice per (block, merge group), so blocks are not cut finer."""
+    ``2 * cpus`` tasks, but never under ``READ_UNIT_MIN_BYTES`` and
+    never less than one row group. The exchange costs a slice per
+    (block, merge group), so blocks are not cut finer. Returns the units
+    and the group's decoded bytes."""
     rgs = [(f, i, md) for f, md in zip(files, footers) for i in range(md.num_row_groups)]
-    return _pack(
-        [(f, i) for f, i, _ in rgs],
-        [md.row_group(i).total_byte_size for _, i, md in rgs],
-        min_units,
-    )
+    sizes = [md.row_group(i).total_byte_size for _, i, md in rgs]
+    decoded = sum(sizes)
+    min_units = min(2 * cpus, max(1, decoded // max(1, READ_UNIT_MIN_BYTES)))
+    return _pack([(f, i) for f, i, _ in rgs], sizes, min_units), decoded
 
 
 def _read_row_groups(unit: list[tuple[str, int]], schema: pa.Schema) -> pa.Table:
@@ -1179,10 +1208,14 @@ def _task_table(name: str, fns: list) -> pa.Table:
     execution that reruns the tasks and cancels them mid-way, and these
     tasks write files (a rerun truncated a merge task's ``.tmp-`` file
     before its commit renamed it, and left export tmp files behind)."""
-    ds = _task_dataset(name, fns).materialize()
-    return pa.concat_tables(
-        ray.get([ref for bundle in ds.iter_internal_ref_bundles() for ref in bundle.block_refs])
-    )
+    return pa.concat_tables(ray.get(_block_refs(_task_dataset(name, fns).materialize())))
+
+
+def _block_refs(ds: "ray.data.MaterializedDataset") -> list:
+    """The block refs of a materialized Dataset, in order, read from its
+    input bundles: ``iter_internal_ref_bundles`` plans a no-op execution
+    first, which asks Ray's control store for free CPUs (~0.3 ms)."""
+    return [ref for bundle in ds._logical_plan.dag.output_data() for ref in bundle.block_refs]
 
 
 def _stored_rows(
@@ -1213,21 +1246,23 @@ def _stored_rows(
 
 
 def _merge_exchange(
-    staged: "ray.data.Dataset",
+    stages: list,
+    small: bool,
     merge,
     S: int,
     R: int,
     hot_threshold: int,
     lake_files: dict[int, list[str]] | None = None,
     lake_stage=None,
-) -> tuple[list[pa.Table], dict[str, float]]:
+    before=None,
+) -> tuple[list[pa.Table], list["ray.data.Dataset"]]:
     """The one wide exchange of a commit group: every row of one merge
     group reaches one ``merge`` call, with no actor and no sort of the
-    group.
+    group. ``stages`` are the group's read units as functions, each
+    returning a block ordered by gkey (``_stage_events``).
 
-    1. ``staged`` yields blocks ordered by gkey (``_bucket_sort``), read,
-       prepped and sorted in its read tasks; it runs as one Dataset
-       execution whose blocks stay in the object store.
+    1. The staged Dataset runs one read task per stage; it runs as one
+       Dataset execution whose blocks stay in the object store.
     2. One merge task per bucket reads every block — zero-copy views of
        shared memory — sums the blocks' partials (``_partition_counts``:
        every task derives the same hot set) and calls ``merge`` once per
@@ -1236,24 +1271,30 @@ def _merge_exchange(
        ``ray.get`` releases its CPU, and Ray may start another worker
        process on it).
 
+    A ``small`` group (under ``READ_UNIT_MIN_BYTES`` decoded, so one
+    read unit) skips the exchange: one task stages its block and merges
+    it as the only bucket, in one Dataset execution. Ray Data costs tens
+    of ms per execution and per task, more than such a group's work.
+
     Copy-on-write ingest passes the manifest snapshot ``lake_files``
     (pkey → current files) and ``lake_stage``: a merge task adds the
     stored rows of each partition it merges (``_stored_rows``), so the
     merge rewrites the partition whole. Task r gets the files of the
     partitions whose groups can fall in bucket r, hot or cold. Returns
     the merge tasks' output blocks — manifest rows, with the summed
-    partials on their schema metadata — and the per-operator wall times
-    of both executions.
+    partials on their schema metadata — and the executed Datasets, whose
+    per-operator stats (``_op_secs``) the caller reads off the critical
+    path.
 
-    The merge Dataset is built on a driver thread while the staged
-    execution runs: building a Dataset waits on a round trip to Ray's
-    stats actor for its id (about 2 ms a group on one vCPU), which the
-    execution hides. Its tasks read ``refs`` when the merge execution
-    serializes them, after the staged blocks are sealed."""
+    The Datasets are built on driver threads while ``before`` (the lake
+    meta write) and the staged execution run: building a Dataset waits
+    on a round trip to Ray's stats actor for its id (about 2 ms a group
+    on one vCPU), which they hide. The merge tasks read ``refs`` when
+    the merge execution serializes them, after the staged blocks are
+    sealed."""
     refs: list = []
 
-    def merge_bucket(r: int, files: dict[int, list[str]]) -> pa.Table:
-        blocks = ray.get(ray.get(refs[0]))
+    def merge_bucket(blocks: list[pa.Table], r: int, R: int, files: dict[int, list[str]]) -> pa.Table:
         counts, val, hot = _partition_counts(blocks, hot_threshold)
         out = []
         groups = _bucket_groups(blocks, r, S, R, hot)
@@ -1269,24 +1310,41 @@ def _merge_exchange(
         rows = pa.concat_tables([MANIFEST_ROW_SCHEMA.empty_table(), *out]).combine_chunks()
         return _with_partials(rows, {"group": {"counts": counts, **val}})
 
-    building = _commit_pool().submit(
-        _task_dataset,
-        "MergeBuckets",
-        [
-            # (pkey + salt) % R == r for some salt < S (``_bucket_of``)
-            functools.partial(
-                merge_bucket, r, {p: fs for p, fs in (lake_files or {}).items() if (r - p) % R < S}
-            )
-            for r in range(R)
-        ],
-    )
-    staged = staged.materialize()
-    # one object holds the block refs, so each merge task ships one ref,
-    # not all of them
-    refs.append(ray.put([ref for bundle in staged.iter_internal_ref_bundles() for ref in bundle.block_refs]))
-    merged = building.result().materialize()
-    blocks = [ref for bundle in merged.iter_internal_ref_bundles() for ref in bundle.block_refs]
-    return ray.get(blocks), _op_secs(staged, merged)
+    def stage_and_merge() -> pa.Table:
+        return merge_bucket([stage() for stage in stages], 0, 1, lake_files or {})
+
+    def exchange_bucket(r: int, files: dict[int, list[str]]) -> pa.Table:
+        return merge_bucket(ray.get(ray.get(refs[0])), r, R, files)
+
+    pool = _commit_pool()
+    if small:
+        building = [pool.submit(_task_dataset, "StageAndMerge", [stage_and_merge])]
+    else:
+        building = [
+            pool.submit(_task_dataset, "Events", stages),
+            pool.submit(
+                _task_dataset,
+                "MergeBuckets",
+                [
+                    # (pkey + salt) % R == r for some salt < S (``_bucket_of``)
+                    functools.partial(
+                        exchange_bucket,
+                        r,
+                        {p: fs for p, fs in (lake_files or {}).items() if (r - p) % R < S},
+                    )
+                    for r in range(R)
+                ],
+            ),
+        ]
+    if before is not None:
+        before()
+    executed = [building[0].result().materialize()]
+    if not small:
+        # one object holds the block refs, so each merge task ships one
+        # ref, not all of them
+        refs.append(ray.put(_block_refs(executed[0])))
+        executed.append(building[1].result().materialize())
+    return ray.get(_block_refs(executed[-1])), executed
 
 
 _CPUS: tuple[float, int] = (float("-inf"), 0)
@@ -1367,7 +1425,6 @@ def _run_ingest(
     from gene_etl_ray.state.manifest import finalize_repartition
 
     finalize_repartition(lake_dir)
-    _clean_stale_tmp(lake_dir)
     _clean_staged(lake_dir)  # unpublished WAP state is redone, not resumed
     P = cfg.num_partitions
     config_hash = cfg.hash()
@@ -1408,7 +1465,7 @@ def _run_ingest(
             if e <= min_wm and not os.path.exists(
                 os.path.join(lake_dir, "_epochs", f"epoch={e:05d}.json")
             ):
-                write_global_epoch(lake_dir, e, _epoch_record_info(lake_dir, e, cfg))
+                write_global_epoch(lake_dir, e, _epoch_record_info(lake_dir, e, config_hash))
     report: dict = {
         "events_in": 0,
         "events_applied": 0,
@@ -1473,7 +1530,8 @@ def _run_ingest(
             # metadata dict defeats Ray's schema dedup
             s = md.schema.to_arrow_schema().remove_metadata()
             group_schema = s if group_schema is None else evolve_schema(group_schema, s)
-        units = _read_units(files, footers, 2 * cpus)
+        units, decoded = _read_units(files, footers, cpus)
+        small = decoded < READ_UNIT_MIN_BYTES
         incoming_lake = lake_schema_for(group_schema, keep_html=cfg.keep_html)
         if meta is None:
             target = incoming_lake
@@ -1491,8 +1549,6 @@ def _run_ingest(
             # partition count in force for snapshots as of each epoch
             "layouts": (meta or {}).get("layouts") or [{"epoch": -1, "P": P}],
         }
-        write_lake_meta(lake_dir, meta)
-
         # -- the merge exchange --
         # One read task per read unit reads, counts, preps and sorts its
         # rows: the only read of the group's WAL files. No extractor
@@ -1502,23 +1558,24 @@ def _run_ingest(
         # rows of the partitions it merges, so the merge rewrites them
         # whole; stored rows never pass through the exchange, so the WAL
         # bytes alone size it. mor: no lake read — the LWW-deduped delta
-        # is APPENDED and reads resolve across files.
+        # is APPENDED and reads resolve across files. A small group
+        # stages and merges in its one read task.
         key_stage = _make_key_stage(P, cfg.salt_factor, wm_arr.copy())
-        staged = _task_dataset(
-            "Events",
+        R = 1 if small else _exchange_width(
+            cpus, sum(os.path.getsize(f) for f in files), P * cfg.salt_factor
+        )
+        t_pipe = time.time()
+        # one tiny manifest row per merge group, plus per-operator wall
+        # times for metrics.json (observability parity with the
+        # reference's process log, ``etl/__init__.py:247-304``)
+        merged, executed = _merge_exchange(
             [
                 functools.partial(
                     _stage_events, u, unit, group_schema, late_cutoff, key_stage, target, P
                 )
                 for u, unit in enumerate(units)
             ],
-        )
-        t_pipe = time.time()
-        # one tiny manifest row per merge group, plus per-operator wall
-        # times for metrics.json (observability parity with the
-        # reference's process log, ``etl/__init__.py:247-304``)
-        merged, stage_secs = _merge_exchange(
-            staged,
+            small,
             _make_merge_fn(
                 lake_dir,
                 commit_epoch,
@@ -1526,12 +1583,11 @@ def _run_ingest(
                 keep_html="html" in target.names,
             ),
             cfg.salt_factor,
-            _exchange_width(
-                cpus, sum(os.path.getsize(f) for f in files), P * cfg.salt_factor
-            ),
+            R,
             cfg.hot_partition_threshold,
             lake_files=current_files(lake_dir) if cfg.merge_mode == "cow" else None,
             lake_stage=_make_lake_side_stage(cfg, target, group_schema.field("html").type),
+            before=functools.partial(_phase0, lake_dir, meta, clean_tmp=i == 0),
         )
         t_pipe = time.time() - t_pipe
         counts, val, hot = _partition_counts(merged, cfg.hot_partition_threshold)
@@ -1631,8 +1687,12 @@ def _run_ingest(
         # crashed run may already have committed + lineage'd some
         # partitions (this run watermark-skipped them) — `applied` stays
         # the THIS-RUN number for the run report.
-        grp_info = _epoch_record_info(lake_dir, commit_epoch, cfg)
+        grp_info = _epoch_record_info(lake_dir, commit_epoch, config_hash)
+        # Ray's operator stats, read while the epoch record fsyncs (the
+        # commit threads' own Python work is done by now)
+        op_secs = _commit_pool().submit(_op_secs, *executed)
         write_global_epoch(lake_dir, commit_epoch, grp_info)
+        stage_secs = op_secs.result()
         t_commit = time.time() - t_commit
         wm_arr[:] = np.maximum(wm_arr, commit_epoch)
         if cfg.allowed_lateness_us is not None:
@@ -1659,6 +1719,10 @@ def _run_ingest(
                 # (schema evolution and audit are not commit time)
                 "commit_sec": round(t_commit, 3),
                 "stage_secs": stage_secs,
+                # the group's shape: one execution of one task when small
+                "read_units": len(units),
+                "merge_buckets": R,
+                "executions": len(executed),
             }
         )
 

@@ -27,9 +27,12 @@ def read_lineage(lake_dir: str, epoch: int | None = None) -> list[dict]:
     d = os.path.join(lake_dir, "_lineage")
     if not os.path.isdir(d):
         return []
-    names = sorted(os.listdir(d))
-    if epoch is not None:
-        names = [n for n in names if n == f"epoch={epoch:05d}.jsonl"]
+    if epoch is None:
+        names = sorted(os.listdir(d))
+    else:
+        # one epoch's file by name: a listing grows with the lake's age
+        n = f"epoch={epoch:05d}.jsonl"
+        names = [n] if os.path.exists(os.path.join(d, n)) else []
     out = []
     for n in names:
         with open(os.path.join(d, n)) as f:

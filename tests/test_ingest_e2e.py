@@ -176,19 +176,24 @@ def test_incremental_equals_batch(tmp_events, tmp_lake, tmp_path):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_salting_does_not_change_state(tmp_events, tmp_lake, tmp_path):
+def test_salting_does_not_change_state(tmp_events, tmp_path, monkeypatch):
     """Hot-partition salting is a pure physical-plan choice: forcing every
-    partition hot (threshold 0, S=8) yields the identical lake state."""
+    partition hot (threshold 0, S=8) yields the identical lake state, in
+    the one-task shape of a small group and in the exchange (floor 0)."""
+    import gene_etl_ray.pipelines.ingest as ing
+
     generate_events(tmp_events, n_urls=300, n_events=1500, n_epochs=3)
-    run_ingest(EngineConfig(lake_dir=tmp_lake, num_partitions=4), tmp_events)
-    lake_b = str(tmp_path / "lake_b")
-    run_ingest(
-        EngineConfig(
-            lake_dir=lake_b, num_partitions=4, salt_factor=8, hot_partition_threshold=0
-        ),
-        tmp_events,
-    )
-    pd.testing.assert_frame_equal(lake_df(tmp_lake), lake_df(lake_b))
+    for floor in (ing.READ_UNIT_MIN_BYTES, 0):
+        monkeypatch.setattr(ing, "READ_UNIT_MIN_BYTES", floor)
+        lake_a, lake_b = str(tmp_path / f"a{floor}"), str(tmp_path / f"b{floor}")
+        run_ingest(EngineConfig(lake_dir=lake_a, num_partitions=4), tmp_events)
+        run_ingest(
+            EngineConfig(
+                lake_dir=lake_b, num_partitions=4, salt_factor=8, hot_partition_threshold=0
+            ),
+            tmp_events,
+        )
+        pd.testing.assert_frame_equal(lake_df(lake_a), lake_df(lake_b))
 
 
 def test_tombstones_block_resurrection(tmp_events, tmp_lake):
@@ -270,27 +275,56 @@ def test_without_counts_pass_matches_oracle(
 
 
 @pytest.mark.parametrize("mode", ["mor", "cow"])
-def test_group_runs_two_dataset_executions(tmp_events, tmp_lake, monkeypatch, mode):
-    """A commit group reads its WAL files once: the exchange's read tasks
-    (one execution) and its merge tasks (the other) — no counts pass,
-    and under cow no lake-side read, also once partitions are committed."""
+def test_group_shape_follows_read_unit_floor(tmp_events, tmp_path, monkeypatch, mode):
+    """A commit group reads its WAL files once, in one of two shapes. A
+    group under ``READ_UNIT_MIN_BYTES`` decoded runs one Dataset execution
+    of one task, which stages and merges it; with the floor at 0 the same
+    group runs the exchange, its read tasks in one execution and its
+    merge tasks in the other. No counts pass, and under cow no lake-side
+    read, also once partitions are committed. metrics.json records each
+    group's shape."""
+    import json
+
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
+    import gene_etl_ray.pipelines.ingest as ing
+
     generate_events(tmp_events, n_urls=120, n_events=600, n_epochs=2)
-    cfg = EngineConfig(lake_dir=tmp_lake, num_partitions=4, merge_mode=mode)
-    execs = []
-    real = StreamingExecutor.execute
+    execs, tasks = [], []
+    real_execute, real_dataset = StreamingExecutor.execute, ing._task_dataset
 
     def counted(self, *a, **kw):
         execs.append(1)
-        return real(self, *a, **kw)
+        return real_execute(self, *a, **kw)
+
+    def task_dataset(name, fns):
+        tasks.append(len(fns))
+        return real_dataset(name, fns)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
-    rep = run_ingest(cfg, tmp_events)
-    assert [c["epoch"] for c in rep["commits"]] == [0, 1]
-    assert len(execs) == 2 * 2
-    assert current_files(tmp_lake)  # group 1 merged into committed partitions
-    assert_matches_oracle(tmp_lake, tmp_events)
+    monkeypatch.setattr(ing, "_task_dataset", task_dataset)
+    for floor in (ing.READ_UNIT_MIN_BYTES, 0):
+        monkeypatch.setattr(ing, "READ_UNIT_MIN_BYTES", floor)
+        lake = str(tmp_path / f"lake{floor}")
+        execs.clear()
+        tasks.clear()
+        rep = run_ingest(EngineConfig(lake_dir=lake, num_partitions=4, merge_mode=mode), tmp_events)
+        assert [c["epoch"] for c in rep["commits"]] == [0, 1]
+        with open(os.path.join(lake, "_meta", "metrics.json")) as f:
+            shapes = [(c["read_units"], c["merge_buckets"], c["executions"])
+                      for c in json.load(f)["commits"]]
+        if floor:
+            assert shapes == [(1, 1, 1)] * 2
+            assert len(execs) == 2 and tasks == [1, 1]
+        else:
+            assert all(e == 2 for _, _, e in shapes)
+            assert len(execs) == 2 * 2
+            # a group's two Datasets are built on two driver threads at once
+            assert [sorted(tasks[i : i + 2]) for i in (0, 2)] == [
+                sorted((u, b)) for u, b, _ in shapes
+            ]
+        assert current_files(lake)  # group 1 merged into committed partitions
+        assert_matches_oracle(lake, tmp_events)
 
 
 def test_task_table_runs_each_task_once(tmp_path, monkeypatch):
@@ -326,28 +360,33 @@ def test_task_table_runs_each_task_once(tmp_path, monkeypatch):
     assert sorted(int(n.split(".")[0]) for n in os.listdir(d)) == list(range(6))
 
 
-def test_hot_cow_partitions_merge_into_committed_files(tmp_events, tmp_lake, tmp_path):
+def test_hot_cow_partitions_merge_into_committed_files(tmp_events, tmp_path, monkeypatch):
     """Copy-on-write partitions committed cold (one file with every salt)
     and then merged hot (each salt's merge task keeps only its share of
     the stored rows), then hot again over per-salt files: the lake still
     equals the oracle, and the hot commits rewrote each partition as one
-    file per salt."""
+    file per salt. In both group shapes (floor 0: the exchange)."""
+    import gene_etl_ray.pipelines.ingest as ing
+
     generate_events(tmp_events, n_urls=300, n_events=1500, n_epochs=3)
     first = str(tmp_path / "first")
     os.makedirs(first)
     shutil.copy(os.path.join(tmp_events, "epoch=00000.parquet"), first)
-    run_ingest(EngineConfig(lake_dir=tmp_lake, num_partitions=4), first)
-    assert all(len(fs) == 1 for fs in current_files(tmp_lake).values())
-    rep = run_ingest(
-        EngineConfig(lake_dir=tmp_lake, num_partitions=4, salt_factor=4,
-                     hot_partition_threshold=0),
-        tmp_events,
-    )
-    assert [c["epoch"] for c in rep["commits"]] == [1, 2]
-    assert all(c["hot"] for c in rep["commits"])
-    files = current_files(tmp_lake)
-    assert len(files) == 4 and all(1 < len(fs) <= 4 for fs in files.values())
-    assert_matches_oracle(tmp_lake, tmp_events)
+    for floor in (ing.READ_UNIT_MIN_BYTES, 0):
+        monkeypatch.setattr(ing, "READ_UNIT_MIN_BYTES", floor)
+        lake = str(tmp_path / f"lake{floor}")
+        run_ingest(EngineConfig(lake_dir=lake, num_partitions=4), first)
+        assert all(len(fs) == 1 for fs in current_files(lake).values())
+        rep = run_ingest(
+            EngineConfig(lake_dir=lake, num_partitions=4, salt_factor=4,
+                         hot_partition_threshold=0),
+            tmp_events,
+        )
+        assert [c["epoch"] for c in rep["commits"]] == [1, 2]
+        assert all(c["hot"] for c in rep["commits"])
+        files = current_files(lake)
+        assert len(files) == 4 and all(1 < len(fs) <= 4 for fs in files.values())
+        assert_matches_oracle(lake, tmp_events)
 
 
 def test_split_blocks_count_each_read_unit_once(tmp_events, tmp_lake, monkeypatch):
@@ -357,6 +396,7 @@ def test_split_blocks_count_each_read_unit_once(tmp_events, tmp_lake, monkeypatc
     a per-unit signal) and ``events_applied`` is exact."""
     from ray.data import DataContext
 
+    import gene_etl_ray.pipelines.ingest as ing
     from gene_etl_ray.pipelines.normalize import normalize_batch, prevalidate_counts
 
     generate_events(tmp_events, n_urls=300, n_events=1500, n_epochs=3,
@@ -371,6 +411,8 @@ def test_split_blocks_count_each_read_unit_once(tmp_events, tmp_lake, monkeypatc
 
     monkeypatch.setattr(ray.data.Dataset, "materialize", materialize)
     monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 16 << 10)
+    # staged blocks exist only in the exchange shape
+    monkeypatch.setattr(ing, "READ_UNIT_MIN_BYTES", 0)
     cfg = EngineConfig(lake_dir=tmp_lake, num_partitions=4, epochs_per_commit=3)
     rep = run_ingest(cfg, tmp_events)
     files = glob.glob(os.path.join(tmp_events, "epoch=*.parquet"))

@@ -764,6 +764,34 @@ class TestMultimodal:
         filled = bytes(enc[:j]) + b"\xff" + bytes(enc[j:])
         assert (J.jpeg_decode_gray(filled) == 77).all()
 
+    def test_jpeg_planes_follow_component_ids(self):
+        """Color planes map to Y, Cb, Cr by JFIF component id, not by the
+        order the SOF or the scan lists them: reordering the SOF entries
+        decodes the same image, and a scan that sends component 3 (Cr)
+        before 2 (Cb) decodes the same data with the chroma swapped. Ids
+        other than 1, 2, 3 raise."""
+        from gene_etl_ray.ops import jpeg as J
+
+        yy, xx = np.mgrid[0:24, 0:32]
+        img = np.stack([150 + xx, 110 + yy, 100 + (xx + yy) // 2], axis=-1).astype(np.uint8)
+        data = J.jpeg_encode_color(img, quality=90)
+        base = J.jpeg_decode(data)
+        sof = bytes([3, 1, 0x22, 0, 2, 0x11, 1, 3, 0x11, 1])
+        sos = bytes([3, 1, 0x00, 2, 0x11, 3, 0x11])
+        assert data.count(sof) == 1 and data.count(sos) == 1
+        reordered = data.replace(sof, bytes([3, 3, 0x11, 1, 1, 0x22, 0, 2, 0x11, 1]))
+        assert (J.jpeg_decode(reordered) == base).all()
+        swapped = J.jpeg_decode(data.replace(sos, bytes([3, 1, 0x00, 3, 0x11, 2, 0x11])))
+        rgb = base.astype(np.float64)
+        y, cb, cr = rgb @ J._RGB2Y, rgb @ J._RGB2CB, rgb @ J._RGB2CR
+        want = np.stack([y + 1.402 * cb, y - 0.344136286 * cr - 0.714136286 * cb,
+                         y + 1.772 * cr], axis=-1)
+        assert want.min() > 0 and want.max() < 255  # no clipping below
+        assert np.abs(swapped - want).max() <= 2  # rounding of base only
+        assert np.abs(swapped.astype(int) - base.astype(int)).max() > 20
+        with pytest.raises(NotImplementedError):
+            J.jpeg_decode(data.replace(sof, bytes([3, 0, 0x22, 0, 1, 0x11, 1, 2, 0x11, 1])))
+
     def test_jpeg_media_stages_end_to_end(self):
         """image/jpeg flows through MediaDecoder features and
         MediaResizer (decode → resample → re-encode → re-decode)."""

@@ -508,6 +508,47 @@ class TestMergeExchange:
         (cold,) = _stored_rows(files, stage, [0], salted=False).values()
         assert sorted(u for p in cold for u in p.column("url").to_pylist()) == sorted(urls)
 
+    def test_read_units_floor_cap_and_whole_row_groups(self, tmp_path, monkeypatch):
+        """Unit planning: one unit under ``READ_UNIT_MIN_BYTES``; above it
+        at most ``2 * cpus`` units, none over ``READ_UNIT_BYTES`` unless it
+        is one row group; every row group in exactly one unit, in order."""
+        import pyarrow.parquet as pq
+
+        import gene_etl_ray.pipelines.ingest as ing
+
+        files = []
+        for j, rows in enumerate((700, 300, 1000)):
+            f = str(tmp_path / f"epoch={j:05d}.parquet")
+            t = pa.table({"x": pa.array(np.arange(rows) * (j + 1), pa.int64())})
+            pq.write_table(t, f, row_group_size=100)
+            files.append(f)
+        footers = [pq.read_metadata(f) for f in files]
+        rgs = [(f, i) for f, md in zip(files, footers) for i in range(md.num_row_groups)]
+        size = {(f, i): md.row_group(i).total_byte_size
+                for f, md in zip(files, footers) for i in range(md.num_row_groups)}
+        decoded = sum(size.values())
+
+        def plan(cpus):
+            units, got = ing._read_units(files, footers, cpus)
+            assert got == decoded
+            assert [rg for u in units for rg in u] == rgs
+            return units
+
+        monkeypatch.setattr(ing, "READ_UNIT_MIN_BYTES", decoded + 1)
+        assert [len(plan(c)) for c in (1, 2, 8)] == [1, 1, 1]
+        monkeypatch.setattr(ing, "READ_UNIT_MIN_BYTES", decoded // 6)
+        assert [len(plan(c)) for c in (1, 2, 3, 8)] == [2, 4, 6, 6]
+        monkeypatch.setattr(ing, "READ_UNIT_MIN_BYTES", 0)
+        assert len(plan(8)) == 16
+        cap = 3 * max(size.values())
+        monkeypatch.setattr(ing, "READ_UNIT_BYTES", cap)
+        for cpus in (1, 4):
+            units = plan(cpus)
+            assert len(units) <= max(2 * cpus, -(-decoded // cap) + 1)
+            assert all(sum(size[rg] for rg in u) <= cap for u in units)
+        monkeypatch.setattr(ing, "READ_UNIT_BYTES", 1)
+        assert plan(1) == [[rg] for rg in rgs]  # never split a row group
+
 
 class TestLateMergeExtraction:
     """The merge exchange's fused late extraction, called directly on a
