@@ -19,12 +19,14 @@ the shared worker pool, on the model of Exoshuffle: no actor and no sort
 of the group. Each read task leaves its block in the object store ordered by
 gkey; merge task r then takes bucket r's zero-copy runs of every block
 and merges them one group at a time. A group under
-``READ_UNIT_MIN_BYTES`` decoded skips it: one task stages and merges the
-whole group, one Dataset execution in all. Sinks: copy-on-write
-(rewrite touched partitions) or merge-on-read (append LWW-deduped
-deltas + read-side resolution + ``compact``). Torn/corrupt WAL segments
-are quarantined with later epochs held back; a single-writer lock
-serializes committers; bounded object-store backpressure is configurable.
+``READ_UNIT_MIN_BYTES`` decoded with no stored rows to rewrite
+(merge-on-read, or an empty copy-on-write lake) skips it: one task
+stages and merges the whole group, one Dataset execution in all.
+Sinks: copy-on-write (rewrite touched partitions) or merge-on-read
+(append LWW-deduped deltas + read-side resolution + ``compact``).
+Torn/corrupt WAL segments are quarantined with later epochs held back;
+a single-writer lock serializes committers; bounded object-store
+backpressure is configurable.
 
 Scale properties (designed for 10^10 events / multi-node):
 - the only all-to-all exchange is ingest's merge exchange on ``gkey``;
@@ -488,8 +490,9 @@ def _schema_from_hex(h: str) -> pa.Schema:
 def _clean_stale_tmp(lake_dir: str) -> None:
     """Temp files from a crashed run are invisible to readers (never
     manifested); remove them so they don't accumulate: data files and
-    their .bloom sidecars. Runs before every ingest, so it lists the
-    partition directories without ``glob``'s per-name pattern match."""
+    their .bloom sidecars. Runs once per ingest run, with or without
+    work, so it lists the partition directories without ``glob``'s
+    per-name pattern match."""
     for d in os.scandir(lake_dir):
         if not (d.name.startswith("part=") and d.is_dir()):
             continue
@@ -560,7 +563,8 @@ def _partition_counts(
 READ_UNIT_BYTES = 128 << 20
 
 #: decoded WAL bytes per ingest read unit below which a group is not
-#: split further, and below which a whole group runs as one task: a
+#: split further, and below which a whole group runs as one task (unless
+#: it rewrites stored copy-on-write rows, see ``_run_ingest``): a
 #: read-plus-merge task does about 15 ms of work per decoded MB on one
 #: vCPU, so at this floor a task's work is at least 10x the ~35 ms Ray
 #: Data spends dispatching it
@@ -1208,13 +1212,19 @@ def _task_table(name: str, fns: list) -> pa.Table:
     execution that reruns the tasks and cancels them mid-way, and these
     tasks write files (a rerun truncated a merge task's ``.tmp-`` file
     before its commit renamed it, and left export tmp files behind)."""
-    return pa.concat_tables(ray.get(_block_refs(_task_dataset(name, fns).materialize())))
+    ds = _task_dataset(name, fns).materialize()
+    return pa.concat_tables(
+        ray.get([ref for bundle in ds.iter_internal_ref_bundles() for ref in bundle.block_refs])
+    )
 
 
 def _block_refs(ds: "ray.data.MaterializedDataset") -> list:
     """The block refs of a materialized Dataset, in order, read from its
-    input bundles: ``iter_internal_ref_bundles`` plans a no-op execution
-    first, which asks Ray's control store for free CPUs (~0.3 ms)."""
+    input bundles, for the commit group's critical path:
+    ``iter_internal_ref_bundles`` plans a no-op execution first, which
+    asks Ray's control store for free CPUs (~0.3 ms). The bundles sit in
+    Ray's private plan layout (Ray 2.49); a test checks them against the
+    public iterator."""
     return [ref for bundle in ds._logical_plan.dag.output_data() for ref in bundle.block_refs]
 
 
@@ -1272,9 +1282,10 @@ def _merge_exchange(
        process on it).
 
     A ``small`` group (under ``READ_UNIT_MIN_BYTES`` decoded, so one
-    read unit) skips the exchange: one task stages its block and merges
-    it as the only bucket, in one Dataset execution. Ray Data costs tens
-    of ms per execution and per task, more than such a group's work.
+    read unit, and with no stored rows to rewrite) skips the exchange:
+    one task stages its block and merges it as the only bucket, in one
+    Dataset execution. Ray Data costs tens of ms per execution and per
+    task, more than such a group's work.
 
     Copy-on-write ingest passes the manifest snapshot ``lake_files``
     (pkey → current files) and ``lake_stage``: a merge task adds the
@@ -1475,6 +1486,8 @@ def _run_ingest(
         "quarantined_segments": quarantined,
     }
     if not todo:
+        # a run with work sweeps in its first group's phase 0 (``_phase0``)
+        _clean_stale_tmp(lake_dir)
         report["duration_sec"] = time.time() - t0
         return report
 
@@ -1531,7 +1544,13 @@ def _run_ingest(
             s = md.schema.to_arrow_schema().remove_metadata()
             group_schema = s if group_schema is None else evolve_schema(group_schema, s)
         units, decoded = _read_units(files, footers, cpus)
-        small = decoded < READ_UNIT_MIN_BYTES
+        # cow: each merge task also reads and rewrites the stored rows of
+        # the partitions it merges, work that grows with the lake, not the
+        # WAL, and that the exchange spreads over R buckets; the exchange
+        # won from about 2 MB of stored files (BASELINE.md), so only a
+        # group into an empty cow lake runs as one task
+        lake_files = current_files(lake_dir) if cfg.merge_mode == "cow" else None
+        small = decoded < READ_UNIT_MIN_BYTES and not lake_files
         incoming_lake = lake_schema_for(group_schema, keep_html=cfg.keep_html)
         if meta is None:
             target = incoming_lake
@@ -1585,7 +1604,7 @@ def _run_ingest(
             cfg.salt_factor,
             R,
             cfg.hot_partition_threshold,
-            lake_files=current_files(lake_dir) if cfg.merge_mode == "cow" else None,
+            lake_files=lake_files,
             lake_stage=_make_lake_side_stage(cfg, target, group_schema.field("html").type),
             before=functools.partial(_phase0, lake_dir, meta, clean_tmp=i == 0),
         )

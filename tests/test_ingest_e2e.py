@@ -280,9 +280,10 @@ def test_group_shape_follows_read_unit_floor(tmp_events, tmp_path, monkeypatch, 
     group under ``READ_UNIT_MIN_BYTES`` decoded runs one Dataset execution
     of one task, which stages and merges it; with the floor at 0 the same
     group runs the exchange, its read tasks in one execution and its
-    merge tasks in the other. No counts pass, and under cow no lake-side
-    read, also once partitions are committed. metrics.json records each
-    group's shape."""
+    merge tasks in the other. A cow group into committed partitions runs
+    the exchange under the floor too. No counts pass, and under cow no
+    lake-side read, also once partitions are committed. metrics.json
+    records each group's shape."""
     import json
 
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
@@ -313,16 +314,19 @@ def test_group_shape_follows_read_unit_floor(tmp_events, tmp_path, monkeypatch, 
         with open(os.path.join(lake, "_meta", "metrics.json")) as f:
             shapes = [(c["read_units"], c["merge_buckets"], c["executions"])
                       for c in json.load(f)["commits"]]
-        if floor:
-            assert shapes == [(1, 1, 1)] * 2
-            assert len(execs) == 2 and tasks == [1, 1]
-        else:
-            assert all(e == 2 for _, _, e in shapes)
-            assert len(execs) == 2 * 2
-            # a group's two Datasets are built on two driver threads at once
-            assert [sorted(tasks[i : i + 2]) for i in (0, 2)] == [
-                sorted((u, b)) for u, b, _ in shapes
-            ]
+        # cow: group 1 rewrites the partitions group 0 committed
+        small = [bool(floor), bool(floor) and mode == "mor"]
+        assert [e for _, _, e in shapes] == [1 if sm else 2 for sm in small]
+        assert len(execs) == sum(e for _, _, e in shapes)
+        i = 0
+        for sm, (u, b, _) in zip(small, shapes):
+            if sm:
+                assert (u, b) == (1, 1) and tasks[i] == 1
+            else:
+                # a group's two Datasets are built on two driver threads at once
+                assert sorted(tasks[i : i + 2]) == sorted((u, b))
+            i += 1 if sm else 2
+        assert i == len(tasks)
         assert current_files(lake)  # group 1 merged into committed partitions
         assert_matches_oracle(lake, tmp_events)
 
@@ -360,33 +364,59 @@ def test_task_table_runs_each_task_once(tmp_path, monkeypatch):
     assert sorted(int(n.split(".")[0]) for n in os.listdir(d)) == list(range(6))
 
 
-def test_hot_cow_partitions_merge_into_committed_files(tmp_events, tmp_path, monkeypatch):
+def test_block_refs_match_public_iterator():
+    """``_block_refs`` reads a materialized Dataset's block refs from Ray's
+    private plan layout; they are the refs ``iter_internal_ref_bundles``
+    yields, in order."""
+    import functools
+
+    from gene_etl_ray.pipelines.ingest import _block_refs, _task_dataset
+
+    ds = _task_dataset(
+        "Blocks", [functools.partial(lambda i: pa.table({"i": [i]}), i) for i in range(5)]
+    ).materialize()
+    want = [ref for bundle in ds.iter_internal_ref_bundles() for ref in bundle.block_refs]
+    assert _block_refs(ds) == want
+    assert [t.column("i")[0].as_py() for t in ray.get(want)] == list(range(5))
+
+
+def test_run_without_work_sweeps_stale_tmp_files(tmp_events, tmp_lake):
+    """A crashed run's ``.tmp-`` data files and sidecars are removed by the
+    next run, also when that run has no epoch left to commit."""
+    generate_events(tmp_events, n_urls=60, n_events=200, n_epochs=1)
+    cfg = EngineConfig(lake_dir=tmp_lake, num_partitions=2)
+    run_ingest(cfg, tmp_events)
+    part = os.path.dirname(current_files(tmp_lake)[0][0])
+    stale = [os.path.join(part, ".tmp-epoch=00000-g000000000.parquet" + x) for x in ("", ".bloom")]
+    for f in stale:
+        open(f, "wb").close()
+    assert run_ingest(cfg, tmp_events)["commits"] == []
+    assert not any(map(os.path.exists, stale))
+    assert_matches_oracle(tmp_lake, tmp_events)
+
+
+def test_hot_cow_partitions_merge_into_committed_files(tmp_events, tmp_lake, tmp_path):
     """Copy-on-write partitions committed cold (one file with every salt)
     and then merged hot (each salt's merge task keeps only its share of
     the stored rows), then hot again over per-salt files: the lake still
     equals the oracle, and the hot commits rewrote each partition as one
-    file per salt. In both group shapes (floor 0: the exchange)."""
-    import gene_etl_ray.pipelines.ingest as ing
-
+    file per salt."""
     generate_events(tmp_events, n_urls=300, n_events=1500, n_epochs=3)
     first = str(tmp_path / "first")
     os.makedirs(first)
     shutil.copy(os.path.join(tmp_events, "epoch=00000.parquet"), first)
-    for floor in (ing.READ_UNIT_MIN_BYTES, 0):
-        monkeypatch.setattr(ing, "READ_UNIT_MIN_BYTES", floor)
-        lake = str(tmp_path / f"lake{floor}")
-        run_ingest(EngineConfig(lake_dir=lake, num_partitions=4), first)
-        assert all(len(fs) == 1 for fs in current_files(lake).values())
-        rep = run_ingest(
-            EngineConfig(lake_dir=lake, num_partitions=4, salt_factor=4,
-                         hot_partition_threshold=0),
-            tmp_events,
-        )
-        assert [c["epoch"] for c in rep["commits"]] == [1, 2]
-        assert all(c["hot"] for c in rep["commits"])
-        files = current_files(lake)
-        assert len(files) == 4 and all(1 < len(fs) <= 4 for fs in files.values())
-        assert_matches_oracle(lake, tmp_events)
+    run_ingest(EngineConfig(lake_dir=tmp_lake, num_partitions=4), first)
+    assert all(len(fs) == 1 for fs in current_files(tmp_lake).values())
+    rep = run_ingest(
+        EngineConfig(lake_dir=tmp_lake, num_partitions=4, salt_factor=4,
+                     hot_partition_threshold=0),
+        tmp_events,
+    )
+    assert [c["epoch"] for c in rep["commits"]] == [1, 2]
+    assert all(c["hot"] for c in rep["commits"])
+    files = current_files(tmp_lake)
+    assert len(files) == 4 and all(1 < len(fs) <= 4 for fs in files.values())
+    assert_matches_oracle(tmp_lake, tmp_events)
 
 
 def test_split_blocks_count_each_read_unit_once(tmp_events, tmp_lake, monkeypatch):
